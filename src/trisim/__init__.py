@@ -22,7 +22,6 @@ from .classify import (
 )
 from .moments import (
     CircleSolution,
-    ExtendedJacobi,
     MomentSequence,
     RadiusSchedule,
     algorithm1,

@@ -34,7 +34,7 @@ from .core import (
 )
 from .classify import canonicalize, gram_condition_check, is_class_matrix, verify_j_symmetric
 from .moments import RadiusSchedule, algorithm1, solve_rho1, spectral_moments, verify_measure
-from .similarity import build_transform, check_invertible, verify_similarity
+from .similarity import ORTHONORMALITY_TOL, build_transform, verify_similarity
 
 EXIT_PASS = 0
 EXIT_VERIFICATION = 1
@@ -129,8 +129,6 @@ def cmd_moments(args) -> int:
 
 def cmd_solve(args) -> int:
     seq = io.moments_from_json(io.load_json(args.input))
-    if seq.s0 <= 0:
-        raise PreconditionError("s_0 must be strictly positive")
     if seq.rho == 1:
         mu = solve_rho1(seq.s0, complex(seq.values[1]))
     else:
@@ -149,11 +147,8 @@ def cmd_solve(args) -> int:
 def cmd_similarity(args) -> int:
     _, kind, op = _load_operator(args)
     tri = _require_class(op, kind)
-    rho = args.rho
-    if rho is not None and rho <= 2 * tri.dim:
-        raise InputError(f"rho must exceed 2d = {2 * tri.dim}")
-    data = build_transform(tri, rho=rho, schedule=_schedule(args))
-    report = verify_similarity(tri, data, args.tol if args.tol != DEFAULT_TOL else 1e-8)
+    data = build_transform(tri, rho=args.rho, schedule=_schedule(args))
+    report = verify_similarity(tri, data, args.tol)
     out = {
         "measure": io.measure_to_json(data.measure),
         "polynomials": [
@@ -161,7 +156,7 @@ def cmd_similarity(args) -> int:
             for n in range(data.polys.n_max + 1)
         ],
         "rank_one_scale": complex_to_json(data.rank_one_scale),
-        "node_matrix_sigma_min": check_invertible(data),
+        "node_matrix_sigma_min": data.sigma_min,
         "orthonormality_residual": report.orthonormality,
         "residuals": list(report.residuals),
         "max_residual": report.max_residual,
@@ -217,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="input JSON file")
     common.add_argument("--output", help="output JSON file (stdout if omitted)")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    common.add_argument("--tol", type=float, default=None)
     common.add_argument("--rho", type=int, default=None)
     common.add_argument("--gamma", type=float, default=1.5)
     common.add_argument("--delta", type=float, default=1e-3)
@@ -245,6 +240,8 @@ def main(argv=None) -> int:
     if args.command != "gen" and args.input is None:
         print("error: --input is required", file=sys.stderr)
         return EXIT_MALFORMED
+    if args.tol is None:
+        args.tol = ORTHONORMALITY_TOL if args.command == "similarity" else DEFAULT_TOL
     try:
         return args.handler(args)
     except PreconditionError as e:

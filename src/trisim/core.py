@@ -167,12 +167,6 @@ class AtomicMeasure:
         """Exact atom sum for the k-th power moment."""
         return complex(np.sum(self.masses * self.atoms**k))
 
-    def union(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        return AtomicMeasure(
-            np.concatenate([self.atoms, other.atoms]),
-            np.concatenate([self.masses, other.masses]),
-        )
-
 
 def _values_at_atoms(f, mu: AtomicMeasure) -> np.ndarray:
     if callable(f):
@@ -271,7 +265,10 @@ def complex_to_json(z: complex) -> list[float]:
 def complex_from_json(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise InputError(f"expected [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    try:
+        return complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError):
+        raise InputError(f"expected two numbers in [re, im] pair, got {v!r}") from None
 
 
 def cvector_to_json(v: np.ndarray) -> list[list[float]]:

@@ -94,7 +94,7 @@ def measure_from_json(obj: dict) -> AtomicMeasure:
         try:
             atoms.append(complex_from_json(entry["z"]))
             masses.append(float(entry["mass"]))
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"malformed atom entry: {e}") from None
     return AtomicMeasure(np.array(atoms, dtype=np.complex128), np.array(masses))
 
@@ -107,7 +107,10 @@ def moments_from_json(obj: dict) -> MomentSequence:
     if not isinstance(obj, dict) or "s" not in obj:
         raise InputError("moment object must carry an 's' list")
     values = cvector_from_json(obj["s"])
-    rho = int(obj.get("rho", len(values) - 1))
+    try:
+        rho = int(obj.get("rho", len(values) - 1))
+    except (TypeError, ValueError):
+        raise InputError(f"rho must be an integer, got {obj['rho']!r}") from None
     if rho != len(values) - 1:
         raise InputError(f"rho = {rho} does not match {len(values)} moments")
     if rho < 1:

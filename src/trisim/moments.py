@@ -55,23 +55,7 @@ class MomentSequence:
         return float(self.values[0].real)
 
 
-@dataclass
-class ExtendedJacobi:
-    """A class matrix extended down-right by b = 0, a = 1 and truncated at N."""
-
-    base: TridiagonalSymmetric
-    trunc: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        m += np.diag(self.offdiag, 1)
-        m += np.diag(self.offdiag, -1)
-        return m
-
-
-def extend_matrix(m: TridiagonalSymmetric, n: int) -> ExtendedJacobi:
+def extend_matrix(m: TridiagonalSymmetric, n: int) -> TridiagonalSymmetric:
     """Extend ``m`` to size ``n`` with zero diagonal and unit off-diagonal."""
     d = m.dim
     if n < d:
@@ -80,7 +64,7 @@ def extend_matrix(m: TridiagonalSymmetric, n: int) -> ExtendedJacobi:
     diag[:d] = m.diag
     offdiag = np.ones(n - 1, dtype=np.complex128)
     offdiag[: d - 1] = m.offdiag
-    return ExtendedJacobi(base=m, trunc=n, diag=diag, offdiag=offdiag)
+    return TridiagonalSymmetric(diag, offdiag)
 
 
 def _tri_matvec(diag: np.ndarray, offdiag: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -113,7 +97,7 @@ def spectral_moments(
     if trunc < rho + 2:
         raise InputError(f"truncation size must be at least rho + 2 = {rho + 2}")
     ext = extend_matrix(m, max(trunc, m.dim))
-    c = np.zeros(ext.trunc, dtype=np.complex128)
+    c = np.zeros(ext.dim, dtype=np.complex128)
     c[0] = 1.0
     s = np.empty(rho + 1, dtype=np.complex128)
     for k in range(rho + 1):
@@ -226,9 +210,10 @@ def algorithm1(
     Step 1 spends a single atom on (s_0/rho, s_1).  Step n (2..rho) places
     a ring carrying mass s_0/rho whose order-n moment equals s_n minus the
     exact atom-sum contribution of everything built so far; lower ring
-    moments vanish by construction.  The union of all pieces matches every
-    prescribed moment.  Ring radii grow at least geometrically, so the
-    rings are pairwise disjoint and never pass through the first atom.
+    moments vanish by construction.  The pieces' atoms and masses are
+    collected step by step into one measure, which matches every prescribed
+    moment.  Ring radii grow at least geometrically, so the rings are
+    pairwise disjoint and never pass through the first atom.
     """
     if schedule is None:
         schedule = RadiusSchedule()
@@ -237,12 +222,14 @@ def algorithm1(
         raise InputError("the stepwise construction needs rho >= 2")
     s0_step = seq.s0 / rho
 
-    mu = solve_rho1(s0_step, seq.values[1])
-    first_atom = complex(mu.atoms[0])
+    first = solve_rho1(s0_step, seq.values[1])
+    atoms, masses = first.atoms, first.masses
+    first_atom = complex(atoms[0])
     r_prev = abs(first_atom) if first_atom != 0 else 1.0
     radii: list[float] = []
     for n in range(2, rho + 1):
-        c_n = complex(seq.values[n]) - mu.moment(n)
+        # the atom sum of AtomicMeasure.moment over everything built so far
+        c_n = complex(seq.values[n]) - complex(np.sum(masses * atoms**n))
         r_n = max(
             admissible_radius(s0_step, c_n, n, schedule.delta),
             schedule.gamma * r_prev,
@@ -250,7 +237,8 @@ def algorithm1(
             1.0,
         )
         ring = solve_gap_moments(s0_step, c_n, n, r_n, schedule.delta)
-        mu = mu.union(ring.measure)
+        atoms = np.concatenate([atoms, ring.measure.atoms])
+        masses = np.concatenate([masses, ring.measure.masses])
         radii.append(r_n)
         r_prev = r_n
 
@@ -258,7 +246,7 @@ def algorithm1(
     seps = np.diff(np.array([abs(first_atom)] + radii))
     if np.any(seps <= 1e-6 * np.array(radii)):
         raise ConsistencyError("radius schedule produced insufficiently separated rings")
-    return mu
+    return AtomicMeasure(atoms, masses)
 
 
 def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:

@@ -20,11 +20,8 @@ from .core import (
     ConsistencyError,
     InputError,
     TridiagonalSymmetric,
-    as_complex_vector,
 )
-from .classify import is_class_matrix
 from .moments import (
-    ExtendedJacobi,
     RadiusSchedule,
     algorithm1,
     extend_matrix,
@@ -85,14 +82,15 @@ def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
     return PolynomialFamily(table)
 
 
-def eval_recurrence(ext: ExtendedJacobi, n_max: int, z: np.ndarray) -> np.ndarray:
+def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.ndarray:
     """Values p_n(z_j) for n = 0..n_max by the three-term recurrence.
 
-    This is the stable evaluation path; the coefficient table exists for
-    degree assertions and reports.
+    ``ext`` is the matrix extended to at least n_max + 1 rows.  This is the
+    stable evaluation path; the coefficient table exists for degree
+    assertions and reports.
     """
     z = np.asarray(z, dtype=np.complex128)
-    if n_max + 1 > ext.trunc:
+    if n_max + 1 > ext.dim:
         raise InputError("extension too short for the requested degree")
     vals = np.empty((n_max + 1, len(z)), dtype=np.complex128)
     vals[0] = 1.0
@@ -139,9 +137,11 @@ class SimilarityData:
     polys: PolynomialFamily
     dim: int
     rank_one_scale: complex  # a_{d-1} of the extended matrix
-    extended: ExtendedJacobi = field(repr=False)
+    extended: TridiagonalSymmetric = field(repr=False)  # extended to d + 1 rows
     # values p_n(z_j), n = 0..d, at the atoms (recurrence path)
     poly_at_atoms: np.ndarray = field(repr=False, default=None)
+    # smallest singular value of the node matrix, set by build_transform
+    sigma_min: float | None = None
 
     def left_factor_values(self) -> np.ndarray:
         """a(z) = -a_{d-1} p_d(z) at the atoms."""
@@ -183,11 +183,9 @@ def build_transform(
     Spectral moments up to rho (default 2d+1), the atomic measure from the
     stepwise construction, and the polynomial family up to degree d; the
     bilinear orthonormality and the rank of the node matrix are asserted
-    before the data is returned.
+    before the data is returned.  Class membership is checked by
+    ``spectral_moments``.
     """
-    ok, _, reason = is_class_matrix(m.dense())
-    if not ok:
-        raise InputError(f"not a class matrix: {reason}")
     d = m.dim
     if rho is None:
         rho = 2 * d + 1
@@ -198,7 +196,7 @@ def build_transform(
     if mu.n_atoms <= 2 * d:
         raise ConsistencyError("measure has too few atoms to force T injective")
     family = build_polynomials(m, d)
-    ext = extend_matrix(m, max(d + 1, rho + 2))
+    ext = extend_matrix(m, d + 1)
     pvals = eval_recurrence(ext, d, mu.atoms)
 
     resid = orthonormality_residuals(pvals, mu, d)
@@ -215,8 +213,8 @@ def build_transform(
         extended=ext,
         poly_at_atoms=pvals,
     )
-    smin = check_invertible(data)
-    if smin <= 0:
+    data.sigma_min = check_invertible(data)
+    if data.sigma_min <= 0:
         raise ConsistencyError("node matrix is rank deficient; T is not invertible")
     return data
 
@@ -229,23 +227,34 @@ def check_invertible(data: SimilarityData) -> float:
     return float(np.linalg.svd(v, compute_uv=False)[-1])
 
 
+def _coefficient_rows(data: SimilarityData, u) -> np.ndarray:
+    """p-basis coefficients as a vector of length d or a stack of such rows."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.ndim not in (1, 2) or u.shape[-1] != data.dim:
+        raise InputError(f"coefficient rows must have length {data.dim}, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise InputError("coefficients contain non-finite entries")
+    return u
+
+
 def apply_lhs(
     m: TridiagonalSymmetric, data: SimilarityData, u: np.ndarray
 ) -> np.ndarray:
     """(T A T^{-1} u) at the atoms, for u given by p-basis coefficients.
 
     T^{-1} reads the coefficients as canonical-basis coordinates, the dense
-    matrix acts there, and T re-expands in the p-basis.
+    matrix acts there, and T re-expands in the p-basis.  ``u`` is one
+    coefficient vector or a stack of rows; a stack gives one row of atom
+    values per coefficient row.
     """
-    u = as_complex_vector(u, "u")
-    if len(u) != data.dim:
-        raise InputError(f"coefficient vector must have length {data.dim}")
-    eta = m.dense() @ u
+    u = _coefficient_rows(data, u)
+    # A is symmetric, so u @ A is A applied to each coefficient row
+    eta = u @ m.dense()
     return eta @ data.poly_at_atoms[: data.dim]
 
 
 def apply_rhs(data: SimilarityData, u: np.ndarray) -> np.ndarray:
-    """(Z_0 + a(z)(., b(z))) u at the atoms.
+    """(Z_0 + a(z)(., b(z))) u at the atoms; ``u`` as in ``apply_lhs``.
 
     Multiplication by z plus the rank-one term.  The sesquilinear pairing
     against conj(p_{d-1}) collapses to the bilinear pairing against
@@ -255,12 +264,13 @@ def apply_rhs(data: SimilarityData, u: np.ndarray) -> np.ndarray:
     cancellation noise from the far rings.  The atom-summed pairing
     itself is validated separately by ``orthonormality_residuals``.
     """
-    u = as_complex_vector(u, "u")
-    if len(u) != data.dim:
-        raise InputError(f"coefficient vector must have length {data.dim}")
-    uvals = u @ data.poly_at_atoms[: data.dim]
-    coef = u[data.dim - 1]
-    return data.measure.atoms * uvals + data.left_factor_values() * coef
+    u = _coefficient_rows(data, u)
+    out = u @ data.poly_at_atoms[: data.dim]
+    # atoms as the first operand: numpy's complex multiply is not bitwise
+    # commutative, and z * p_k(z) is what the lower basis vectors must give
+    np.multiply(data.measure.atoms, out, out=out)
+    out += data.left_factor_values() * u[..., data.dim - 1, None]
+    return out
 
 
 @dataclass
@@ -283,24 +293,24 @@ def verify_similarity(
 ) -> SimilarityReport:
     """Residuals of the similarity identity on each p-basis vector.
 
-    For each k the two sides are evaluated at the atoms by independent
-    paths and compared in the measure-weighted norm, relative to the norm
-    of the right-hand side.  The report also carries the bilinear
-    orthonormality residual of the supplied measure, which is what the
-    rank-one reduction in ``apply_rhs`` leans on; a perturbed measure
-    fails through that channel.
+    Both sides are evaluated at the atoms by independent paths, for all d
+    basis vectors in one batch, and compared in the measure-weighted norm,
+    relative to the norm of the right-hand side.  The report also carries
+    the bilinear orthonormality residual of the supplied measure, which is
+    what the rank-one reduction in ``apply_rhs`` leans on; a perturbed
+    measure fails through that channel.
     """
     d = data.dim
     w = data.measure.masses
-    res = np.empty(d)
-    for k in range(d):
-        e = np.zeros(d, dtype=np.complex128)
-        e[k] = 1.0
-        lhs = apply_lhs(m, data, e)
-        rhs = apply_rhs(data, e)
-        denom = float(np.sqrt(np.sum(w * np.abs(rhs) ** 2)))
-        num = float(np.sqrt(np.sum(w * np.abs(lhs - rhs) ** 2)))
-        res[k] = num / (denom if denom > 0 else 1.0)
+    basis = np.eye(d, dtype=np.complex128)
+    rhs = apply_rhs(data, basis)
+    denom = np.sqrt(np.sum(w * np.abs(rhs) ** 2, axis=1))
+    # the difference overwrites rhs, so that at most two d-by-n_atoms
+    # arrays are alive at once
+    diff = rhs
+    diff -= apply_lhs(m, data, basis)
+    num = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=1))
+    res = num / np.where(denom > 0, denom, 1.0)
     orth = float(
         np.max(orthonormality_residuals(data.poly_at_atoms, data.measure, d))
     )

@@ -88,6 +88,16 @@ class TestClassify:
         p = tmp_path / "junk.json"
         p.write_text("{nope")
         assert main(["classify", "--input", str(p)]) == 2
+        # well-formed JSON carrying a malformed number
+        bad_diag = {"kind": "tridiagonal", "diag": [["x", 0], [0, 0]], "offdiag": [[1, 0]]}
+        assert main(["classify", "--input", write(tmp_path, "d.json", bad_diag)]) == 2
+        bad_rho = {"rho": "abc", "s": [[1, 0], [0, 0], [1, 0]]}
+        assert main(["solve", "--input", write(tmp_path, "s.json", bad_rho)]) == 2
+        bad_mass = {
+            "measure": {"atoms": [{"z": [0, 0], "mass": "x"}]},
+            "moments": {"s": [[1, 0], [0, 0]]},
+        }
+        assert main(["verify", "--input", write(tmp_path, "v.json", bad_mass)]) == 2
 
 
 class TestSolve:
@@ -149,6 +159,18 @@ class TestSimilarityCommand:
         main(["gen", "--seed", "1", "--d", "5", "--output", str(op)])
         out = tmp_path / "sim.json"
         assert main(["similarity", "--input", str(op), "--output", str(out)]) == 0
+
+    def test_explicit_tol_is_used(self, tmp_path, capsys):
+        # this input verifies to about 1.02e-9: inside the 1e-8 default,
+        # outside an explicit --tol 1e-9
+        op = tmp_path / "op.json"
+        main(["gen", "--seed", "11", "--d", "12", "--output", str(op)])
+        capsys.readouterr()
+        assert main(["similarity", "--input", str(op), "--tol", "1e-9"]) == 1
+        result = json.loads(capsys.readouterr().out)
+        assert 1e-9 < result["max_residual"] < 1e-8
+        assert result["passed"] is False
+        assert main(["similarity", "--input", str(op)]) == 0
 
     def test_zero_offdiagonal_rejected(self, tmp_path, capsys):
         p = write(

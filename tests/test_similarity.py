@@ -170,6 +170,29 @@ class TestApplySides:
         with pytest.raises(InputError):
             apply_rhs(chain_data, np.zeros(3))
 
+    def test_stack_matches_rows(self):
+        m = random_class_matrix(33, 4)
+        data = build_transform(m)
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        lhs, rhs = apply_lhs(m, data, u), apply_rhs(data, u)
+        assert lhs.shape == rhs.shape == (3, data.measure.n_atoms)
+        for row, l_row, r_row in zip(u, lhs, rhs):
+            assert np.allclose(l_row, apply_lhs(m, data, row), rtol=1e-12, atol=1e-12)
+            assert np.allclose(r_row, apply_rhs(data, row), rtol=1e-12, atol=1e-12)
+
+    def test_stack_rejects_bad_rows(self, chain_data):
+        u = np.eye(2, dtype=complex)
+        u[1, 0] = np.nan
+        with pytest.raises(InputError, match="non-finite"):
+            apply_lhs(CHAIN2, chain_data, u)
+        with pytest.raises(InputError, match="non-finite"):
+            apply_rhs(chain_data, u)
+        with pytest.raises(InputError):
+            apply_rhs(chain_data, np.zeros((2, 3)))
+        with pytest.raises(InputError):
+            apply_rhs(chain_data, np.zeros((1, 2, 2)))
+
 
 class TestVerifySimilarity:
     def test_chain_residuals_tiny(self, chain_data):
