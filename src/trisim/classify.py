@@ -42,6 +42,27 @@ class CanonicalForm:
     phases: np.ndarray
 
 
+def _vanishing_subdiagonal(sub: np.ndarray, thresh: float) -> str | None:
+    """Why some |a_k| <= thresh, naming the first such k; None if none is."""
+    small = np.abs(sub) <= thresh
+    if not small.any():
+        return None
+    k = int(np.argmax(small))
+    return f"sub-diagonal entry a_{k} vanishes (|a_{k}| = {abs(sub[k]):.3e})"
+
+
+def _is_class_tridiagonal(m: TridiagonalSymmetric) -> tuple[bool, str]:
+    """``is_class_matrix(m.dense())`` on the bands, in O(d).
+
+    Returns ``(ok, reason)``.  A ``TridiagonalSymmetric`` is tridiagonal
+    and symmetric by construction, so only the sub-diagonal test remains,
+    with the default threshold DEFAULT_TOL * max(1, max|entry|).
+    """
+    norm = float(max(np.max(np.abs(m.diag)), np.max(np.abs(m.offdiag))))
+    reason = _vanishing_subdiagonal(m.offdiag, DEFAULT_TOL * max(1.0, norm))
+    return reason is None, reason or "ok"
+
+
 def is_class_matrix(
     m, eps: float = DEFAULT_TOL
 ) -> tuple[bool, TridiagonalSymmetric | None, str]:
@@ -69,10 +90,9 @@ def is_class_matrix(
         return False, None, f"not complex symmetric: max |m[k,l] - m[l,k]| = {asym:.3e}"
 
     sub = np.diagonal(a, 1)
-    small = np.abs(sub) <= thresh
-    if small.any():
-        k = int(np.argmax(small))
-        return False, None, f"sub-diagonal entry a_{k} vanishes (|a_{k}| = {abs(sub[k]):.3e})"
+    reason = _vanishing_subdiagonal(sub, thresh)
+    if reason is not None:
+        return False, None, reason
 
     sym_off = 0.5 * (sub + np.diagonal(a, -1))
     return True, TridiagonalSymmetric(np.diagonal(a).copy(), sym_off), "ok"

@@ -32,7 +32,13 @@ from .core import (
     complex_to_json,
     cvector_to_json,
 )
-from .classify import canonicalize, gram_condition_check, is_class_matrix, verify_j_symmetric
+from .classify import (
+    _is_class_tridiagonal,
+    canonicalize,
+    gram_condition_check,
+    is_class_matrix,
+    verify_j_symmetric,
+)
 from .moments import RadiusSchedule, algorithm1, solve_rho1, spectral_moments, verify_measure
 from .similarity import ORTHONORMALITY_TOL, build_transform, verify_similarity
 
@@ -54,10 +60,10 @@ def _load_operator(args) -> tuple[dict, str, object]:
 
 def _require_class(op, kind: str) -> TridiagonalSymmetric:
     if kind == "tridiagonal":
-        dense = op.dense()
+        ok, reason = _is_class_tridiagonal(op)
+        tri = op
     else:
-        dense = op
-    ok, tri, reason = is_class_matrix(dense)
+        ok, tri, reason = is_class_matrix(op)
     if not ok:
         raise PreconditionError(reason)
     return tri

@@ -152,7 +152,9 @@ class AtomicMeasure:
             raise InputError("measure must have at least one atom")
         if not np.all(self.masses > 0):
             raise InputError("all masses must be strictly positive")
-        if len(np.unique(self.atoms)) != len(self.atoms):
+        # equal atoms are adjacent once sorted; cheaper than np.unique
+        ordered = np.sort(self.atoms)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise InputError("atom locations must be pairwise distinct")
 
     @property
@@ -288,4 +290,7 @@ def cmatrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 def cmatrix_from_json(rows) -> np.ndarray:
     if not isinstance(rows, (list, tuple)) or len(rows) == 0:
         raise InputError("expected a non-empty list of rows")
-    return np.array([cvector_from_json(r) for r in rows], dtype=np.complex128)
+    vecs = [cvector_from_json(r) for r in rows]
+    if any(len(v) != len(vecs[0]) for v in vecs):
+        raise InputError("matrix rows must all have the same length")
+    return np.array(vecs, dtype=np.complex128)

@@ -25,7 +25,7 @@ from .core import (
     TridiagonalSymmetric,
     as_complex_vector,
 )
-from .classify import is_class_matrix
+from .classify import _is_class_tridiagonal
 
 # Margin keeping |ct| <= 1/2 - MASS_DELTA, which floors every ring mass
 # at 2 * MASS_DELTA * s0 / N.
@@ -87,7 +87,7 @@ def spectral_moments(
     Any truncation size >= rho + 2 gives bit-identical results; the
     recursion cannot reach the extra rows in rho steps.
     """
-    ok, _, reason = is_class_matrix(m.dense())
+    ok, reason = _is_class_tridiagonal(m)
     if not ok:
         raise InputError(f"not a class matrix: {reason}")
     if rho < 1:
@@ -148,6 +148,60 @@ def admissible_radius(s0: float, c: complex, n: int, delta: float = MASS_DELTA) 
     return max(1.0, need * (1.0 + 1e-9))
 
 
+def _normalized_target(
+    s0: float, c: complex, n: int, r: float, delta: float
+) -> complex:
+    """ct = (c/s0)/r^n, checked against the mass margin |ct| <= 1/2 - delta."""
+    ct = (c / s0) / r**n
+    # delta = 0 admits the boundary |c~| = 1/2 (masses can still all be
+    # positive there, as the positivity check in _expand_rings decides);
+    # the default margin guarantees the mass floor 2*delta*s0/N
+    if abs(ct) > 0.5 - delta:
+        raise InputError(
+            f"|c~| = {abs(ct):.4f} exceeds {0.5 - delta}; "
+            f"choose a radius of at least {admissible_radius(s0, c, n, delta):.6g}"
+        )
+    return ct
+
+
+def _ring_moment(s0: float, r: float, n: int, ct: complex, k: int) -> complex:
+    """Order-k moment of the ring (r, n, ct) carrying mass s0, in closed form.
+
+    Over the N = 2n+1 roots of unity only k = 0, n and -n (mod N) survive:
+    s0 * r^k * ([k = 0] + ct [k = n] + conj(ct) [k = -n]).
+    """
+    j = k % (2 * n + 1)
+    if j == 0:
+        return s0 * r**k
+    if j == n:
+        return s0 * r**k * ct
+    if j == n + 1:
+        return s0 * r**k * ct.conjugate()
+    return 0j
+
+
+def _expand_rings(
+    s0: float, radii: np.ndarray, orders: np.ndarray, cts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and masses of the rings (radii[i], orders[i], cts[i]), in order.
+
+    Ring i has N = 2n+1 atoms r * exp(2 pi i j / N) with masses
+    (s0/N) * (1 + 2 Re(conj(ct) exp(2 pi i j n / N))), j = 0..N-1.
+    """
+    sizes = 2 * orders + 1
+    ring = np.repeat(np.arange(len(sizes)), sizes)
+    big_n = sizes[ring]
+    j = np.arange(len(ring)) - (np.cumsum(sizes) - sizes)[ring]
+    atoms = radii[ring] * np.exp(2j * np.pi * j / big_n)
+    masses = (s0 / big_n) * (
+        1.0
+        + 2.0 * np.real(np.conj(cts[ring]) * np.exp(2j * np.pi * j * orders[ring] / big_n))
+    )
+    if not np.all(masses > 0):
+        raise ConsistencyError("non-positive ring mass despite the |c~| margin")
+    return atoms, masses
+
+
 def solve_gap_moments(
     s0: float, c: complex, n: int, r: float, delta: float = MASS_DELTA
 ) -> CircleSolution:
@@ -166,23 +220,10 @@ def solve_gap_moments(
     if r <= 0:
         raise InputError("radius must be positive")
     c = complex(c)
-    ct = (c / s0) / r**n
-    # delta = 0 admits the boundary |c~| = 1/2 (masses can still all be
-    # positive there, as the positivity check below decides); the default
-    # margin guarantees the mass floor 2*delta*s0/N
-    if abs(ct) > 0.5 - delta:
-        raise InputError(
-            f"|c~| = {abs(ct):.4f} exceeds {0.5 - delta}; "
-            f"choose a radius of at least {admissible_radius(s0, c, n, delta):.6g}"
-        )
-    big_n = 2 * n + 1
-    j = np.arange(big_n)
-    atoms = r * np.exp(2j * np.pi * j / big_n)
-    masses = (s0 / big_n) * (
-        1.0 + 2.0 * np.real(np.conj(ct) * np.exp(2j * np.pi * j * n / big_n))
+    ct = _normalized_target(s0, c, n, r, delta)
+    atoms, masses = _expand_rings(
+        s0, np.array([float(r)]), np.array([n]), np.array([ct])
     )
-    if not np.all(masses > 0):
-        raise ConsistencyError("non-positive ring mass despite the |c~| margin")
     return CircleSolution(
         radius=float(r), order=n, target=c, measure=AtomicMeasure(atoms, masses)
     )
@@ -208,12 +249,15 @@ def algorithm1(
     """Finitely atomic measure matching the prescribed moments s_0..s_rho.
 
     Step 1 spends a single atom on (s_0/rho, s_1).  Step n (2..rho) places
-    a ring carrying mass s_0/rho whose order-n moment equals s_n minus the
-    exact atom-sum contribution of everything built so far; lower ring
-    moments vanish by construction.  The pieces' atoms and masses are
-    collected step by step into one measure, which matches every prescribed
-    moment.  Ring radii grow at least geometrically, so the rings are
-    pairwise disjoint and never pass through the first atom.
+    a ring of order n carrying mass s_0/rho, kept as the descriptor
+    (r_n, n, ct_n) only.  Its order-n moment c_n is s_n minus the first
+    atom's s_0/rho * z^n and minus the order-n moments of the earlier
+    rings, which are known in closed form (``_ring_moment``), so each step
+    is O(rho) scalar work; lower ring moments vanish by construction.
+    Ring radii grow at least geometrically, so the rings are pairwise
+    disjoint and never pass through the first atom.  After the last step
+    every ring is expanded to its atoms and masses in one vectorized pass
+    and one measure is built, which matches every prescribed moment.
     """
     if schedule is None:
         schedule = RadiusSchedule()
@@ -222,31 +266,34 @@ def algorithm1(
         raise InputError("the stepwise construction needs rho >= 2")
     s0_step = seq.s0 / rho
 
-    first = solve_rho1(s0_step, seq.values[1])
-    atoms, masses = first.atoms, first.masses
-    first_atom = complex(atoms[0])
-    r_prev = abs(first_atom) if first_atom != 0 else 1.0
+    s = seq.values.tolist()
+    first_atom = s[1] / s0_step
+    inner = abs(first_atom)
+    r_prev = inner or 1.0
     radii: list[float] = []
+    cts: list[complex] = []
     for n in range(2, rho + 1):
-        # the atom sum of AtomicMeasure.moment over everything built so far
-        c_n = complex(seq.values[n]) - complex(np.sum(masses * atoms**n))
+        c_n = s[n] - s0_step * first_atom**n
+        for m, (r_m, ct_m) in enumerate(zip(radii, cts), start=2):
+            c_n -= _ring_moment(s0_step, r_m, m, ct_m, n)
         r_n = max(
             admissible_radius(s0_step, c_n, n, schedule.delta),
             schedule.gamma * r_prev,
-            schedule.gamma * abs(first_atom),
             1.0,
         )
-        ring = solve_gap_moments(s0_step, c_n, n, r_n, schedule.delta)
-        atoms = np.concatenate([atoms, ring.measure.atoms])
-        masses = np.concatenate([masses, ring.measure.masses])
+        # schedule sanity: strictly separated radii, none through the first atom
+        if r_n - inner <= 1e-6 * r_n:
+            raise ConsistencyError("radius schedule produced insufficiently separated rings")
+        cts.append(_normalized_target(s0_step, c_n, n, r_n, schedule.delta))
         radii.append(r_n)
-        r_prev = r_n
+        inner = r_prev = r_n
 
-    # schedule sanity: strictly separated radii, none through the first atom
-    seps = np.diff(np.array([abs(first_atom)] + radii))
-    if np.any(seps <= 1e-6 * np.array(radii)):
-        raise ConsistencyError("radius schedule produced insufficiently separated rings")
-    return AtomicMeasure(atoms, masses)
+    atoms, masses = _expand_rings(
+        s0_step, np.array(radii), np.arange(2, rho + 1), np.array(cts)
+    )
+    return AtomicMeasure(
+        np.concatenate(([first_atom], atoms)), np.concatenate(([s0_step], masses))
+    )
 
 
 def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:

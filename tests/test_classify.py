@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trisim.classify import (
+    _is_class_tridiagonal,
     canonicalize,
     check_cyclic,
     gram_condition_check,
@@ -64,6 +65,16 @@ class TestIsClassMatrix:
         m[0, 2] = m[2, 0] = 1e-6
         ok, _, _ = is_class_matrix(m)
         assert ok
+
+    def test_band_check_agrees_with_dense(self):
+        cases = [random_class_matrix(400 + seed, 2 + seed % 7) for seed in range(30)]
+        weak = random_class_matrix(7, 5)
+        weak.offdiag[1] = 1e-12
+        cases.append(weak)
+        for m in cases:
+            ok, _, reason = is_class_matrix(m.dense())
+            assert _is_class_tridiagonal(m) == (ok, reason)
+        assert "a_1 vanishes" in _is_class_tridiagonal(weak)[1]
 
 
 class TestVerifyJSymmetric:

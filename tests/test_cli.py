@@ -98,6 +98,8 @@ class TestClassify:
             "moments": {"s": [[1, 0], [0, 0]]},
         }
         assert main(["verify", "--input", write(tmp_path, "v.json", bad_mass)]) == 2
+        ragged = {"kind": "dense", "rows": [[[1, 0], [0, 0]], [[0, 0]]]}
+        assert main(["classify", "--input", write(tmp_path, "r.json", ragged)]) == 2
 
 
 class TestSolve:

@@ -117,6 +117,9 @@ class TestDomainTypes:
     def test_measure_rejects_duplicate_atoms(self):
         with pytest.raises(InputError):
             AtomicMeasure(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+        # duplicates that are not neighbours in the input
+        with pytest.raises(InputError):
+            AtomicMeasure(np.array([1j, 2.0, -1j, 2.0, 0.5]), np.full(5, 0.2))
 
     def test_measure_rejects_empty(self):
         with pytest.raises(InputError):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from trisim import moments
 from trisim.cli import random_class_matrix
 from trisim.core import AtomicMeasure, ConsistencyError, InputError, TridiagonalSymmetric
+from trisim.similarity import build_transform, verify_similarity
 from trisim.moments import (
     MomentSequence,
     RadiusSchedule,
@@ -167,6 +169,22 @@ class TestSolveGapMoments:
                 assert abs(mu.moment(k) - target) / scale < 1e-12
 
 
+class TestRingMoment:
+    def test_closed_form_matches_atom_sum(self):
+        # k up to 3n+1 reaches the aliased orders n+1, 2n+1 and 3n+1
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            s0 = rng.uniform(0.01, 2)
+            c = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+            n = int(rng.integers(2, 9))
+            r = admissible_radius(s0, c, n) * rng.uniform(1, 3)
+            mu = solve_gap_moments(s0, c, n, r).measure
+            ct = (c / s0) / r**n
+            for k in range(3 * n + 2):
+                got = moments._ring_moment(s0, r, n, ct, k)
+                assert abs(got - mu.moment(k)) <= 1e-12 * s0 * r**k
+
+
 class TestAlgorithm1:
     def test_textbook_example(self):
         seq = MomentSequence(2, np.array([1, 1 + 1j, 3j]))
@@ -212,6 +230,39 @@ class TestAlgorithm1:
             seq = spectral_moments(m, 2 * d + 1)
             mu = algorithm1(seq)
             assert np.max(verify_measure(mu, seq)) < 1e-9
+
+    def test_rings_match_solve_gap_moments_bitwise(self, monkeypatch):
+        for seed, d, gamma in [(11, 6, 1.5), (12, 16, 1.01)]:
+            seq = spectral_moments(random_class_matrix(seed, d), 2 * d + 1)
+            calls = []
+            target = moments._normalized_target
+
+            def spy(s0, c, n, r, delta):
+                calls.append((s0, c, n, r))
+                return target(s0, c, n, r, delta)
+
+            monkeypatch.setattr(moments, "_normalized_target", spy)
+            mu = algorithm1(seq, RadiusSchedule(gamma=gamma))
+            monkeypatch.undo()
+            assert [n for _, _, n, _ in calls] == list(range(2, seq.rho + 1))
+            start = 1
+            for s0, c, n, r in calls:
+                assert s0 == seq.s0 / seq.rho
+                ring = solve_gap_moments(s0, c, n, r).measure
+                stop = start + ring.n_atoms
+                assert np.array_equal(mu.atoms[start:stop], ring.atoms)
+                assert np.array_equal(mu.masses[start:stop], ring.masses)
+                start = stop
+            assert start == mu.n_atoms
+
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_larger_dimensions_near_unit_growth(self, d):
+        for seed in range(3):
+            m = random_class_matrix(seed, d)
+            data = build_transform(m, schedule=RadiusSchedule(gamma=1.01))
+            seq = spectral_moments(m, 2 * d + 1)
+            assert np.max(verify_measure(data.measure, seq)) <= 1e-12
+            assert verify_similarity(m, data).passed
 
     def test_schedule_knobs(self):
         seq = MomentSequence(3, np.array([1, 1j, 0, 2]))
