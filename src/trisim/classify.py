@@ -121,14 +121,14 @@ def _krylov(a: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def check_cyclic(a, x0, tol: float = CYCLIC_RANK_TOL) -> float:
+def check_cyclic(a, x0) -> float:
     """Ratio sigma_min / sigma_max of the Krylov matrix; raises if not cyclic."""
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
     k = _krylov(a, x0, a.shape[0])
     sv = np.linalg.svd(k, compute_uv=False)
     ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if ratio <= tol:
+    if ratio <= CYCLIC_RANK_TOL:
         raise PreconditionError(
             f"x0 is not a cyclic vector: Krylov matrix rank deficient "
             f"(sigma_min/sigma_max = {ratio:.3e})"

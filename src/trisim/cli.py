@@ -39,7 +39,8 @@ from .classify import (
     is_class_matrix,
     verify_j_symmetric,
 )
-from .moments import RadiusSchedule, algorithm1, solve_rho1, spectral_moments, verify_measure
+from .moments import MASS_DELTA, RADIUS_GROWTH, RadiusSchedule, algorithm1, solve_rho1
+from .moments import spectral_moments, verify_measure
 from .similarity import ORTHONORMALITY_TOL, build_transform, verify_similarity
 
 EXIT_PASS = 0
@@ -162,7 +163,7 @@ def cmd_similarity(args) -> int:
             for n in range(data.polys.n_max + 1)
         ],
         "rank_one_scale": complex_to_json(data.rank_one_scale),
-        "node_matrix_sigma_min": data.sigma_min,
+        "node_matrix_sigma_min": report.sigma_min,
         "orthonormality_residual": report.orthonormality,
         "residuals": list(report.residuals),
         "max_residual": report.max_residual,
@@ -215,28 +216,33 @@ def build_parser() -> argparse.ArgumentParser:
         "normal operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="input JSON file")
-    common.add_argument("--output", help="output JSON file (stdout if omitted)")
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--rho", type=int, default=None)
-    common.add_argument("--gamma", type=float, default=1.5)
-    common.add_argument("--delta", type=float, default=1e-3)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--d", type=int, default=2)
-
-    handlers = {
-        "classify": cmd_classify,
-        "canonicalize": cmd_canonicalize,
-        "moments": cmd_moments,
-        "solve": cmd_solve,
-        "similarity": cmd_similarity,
-        "verify": cmd_verify,
-        "gen": cmd_gen,
+    flags = {
+        "input": dict(help="input JSON file"),
+        "output": dict(help="output JSON file (stdout if omitted)"),
+        "tol": dict(type=float, default=DEFAULT_TOL),
+        "rho": dict(type=int),
+        "gamma": dict(type=float, default=RADIUS_GROWTH),
+        "delta": dict(type=float, default=MASS_DELTA),
+        "seed": dict(type=int),
+        "d": dict(type=int, default=2),
     }
-    for name, fn in handlers.items():
-        p = sub.add_parser(name, parents=[common])
+    # each command takes only the flags it reads
+    commands = {
+        "classify": (cmd_classify, "input output tol"),
+        "canonicalize": (cmd_canonicalize, "input output tol"),
+        "moments": (cmd_moments, "input output rho"),
+        "solve": (cmd_solve, "input output tol gamma delta"),
+        "similarity": (cmd_similarity, "input output tol rho gamma delta"),
+        "verify": (cmd_verify, "input output tol"),
+        "gen": (cmd_gen, "output seed d"),
+    }
+    for name, (fn, names) in commands.items():
+        # no prefix matching, so that "--d" cannot stand for "--delta"
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in names.split():
+            p.add_argument("--" + flag, **flags[flag])
         p.set_defaults(handler=fn)
+    sub.choices["similarity"].set_defaults(tol=ORTHONORMALITY_TOL)
     return parser
 
 
@@ -246,8 +252,6 @@ def main(argv=None) -> int:
     if args.command != "gen" and args.input is None:
         print("error: --input is required", file=sys.stderr)
         return EXIT_MALFORMED
-    if args.tol is None:
-        args.tol = ORTHONORMALITY_TOL if args.command == "similarity" else DEFAULT_TOL
     try:
         return args.handler(args)
     except PreconditionError as e:

@@ -171,8 +171,6 @@ class AtomicMeasure:
 
 
 def _values_at_atoms(f, mu: AtomicMeasure) -> np.ndarray:
-    if callable(f):
-        return np.asarray([f(z) for z in mu.atoms], dtype=np.complex128)
     vals = np.asarray(f, dtype=np.complex128)
     if vals.shape != mu.atoms.shape:
         raise InputError("per-atom value array does not match the number of atoms")
@@ -182,7 +180,7 @@ def _values_at_atoms(f, mu: AtomicMeasure) -> np.ndarray:
 def inner_l2mu(f, g, mu: AtomicMeasure) -> complex:
     """Sesquilinear L^2(mu) inner product: sum_j m_j f(z_j) conj(g(z_j)).
 
-    ``f`` and ``g`` may be callables or arrays of per-atom values.
+    ``f`` and ``g`` are arrays of per-atom values f(z_j) and g(z_j).
     """
     fv = _values_at_atoms(f, mu)
     gv = _values_at_atoms(g, mu)

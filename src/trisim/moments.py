@@ -22,6 +22,7 @@ from .core import (
     AtomicMeasure,
     ConsistencyError,
     InputError,
+    PreconditionError,
     TridiagonalSymmetric,
     as_complex_vector,
 )
@@ -273,18 +274,26 @@ def algorithm1(
     radii: list[float] = []
     cts: list[complex] = []
     for n in range(2, rho + 1):
-        c_n = s[n] - s0_step * first_atom**n
-        for m, (r_m, ct_m) in enumerate(zip(radii, cts), start=2):
-            c_n -= _ring_moment(s0_step, r_m, m, ct_m, n)
-        r_n = max(
-            admissible_radius(s0_step, c_n, n, schedule.delta),
-            schedule.gamma * r_prev,
-            1.0,
-        )
+        r_n = r_prev  # the largest radius raised to the power n so far
+        try:
+            c_n = s[n] - s0_step * first_atom**n
+            for m, (r_m, ct_m) in enumerate(zip(radii, cts), start=2):
+                c_n -= _ring_moment(s0_step, r_m, m, ct_m, n)
+            r_n = max(
+                admissible_radius(s0_step, c_n, n, schedule.delta),
+                schedule.gamma * r_prev,
+                1.0,
+            )
+            ct_n = _normalized_target(s0_step, c_n, n, r_n, schedule.delta)
+        except OverflowError:
+            raise PreconditionError(
+                f"float64 range exhausted at ring order {n}: "
+                f"radius {r_n:.6g} to the power {n} overflows"
+            ) from None
         # schedule sanity: strictly separated radii, none through the first atom
         if r_n - inner <= 1e-6 * r_n:
             raise ConsistencyError("radius schedule produced insufficiently separated rings")
-        cts.append(_normalized_target(s0_step, c_n, n, r_n, schedule.delta))
+        cts.append(ct_n)
         radii.append(r_n)
         inner = r_prev = r_n
 

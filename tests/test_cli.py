@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trisim
 from trisim.cli import main, random_class_matrix
 from trisim import io
 from trisim.core import TridiagonalSymmetric
@@ -188,6 +193,19 @@ class TestSimilarityCommand:
         err = capsys.readouterr().err
         assert "a_1" in err
 
+    def test_float64_exhaustion_exits_3(self, tmp_path):
+        op = tmp_path / "op.json"
+        assert main(["gen", "--seed", "3", "--d", "20", "--output", str(op)]) == 0
+        # a fresh interpreter, so that a traceback would reach stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(trisim.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trisim.cli", "similarity", "--input", str(op)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert "ring order" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestVerifyCommand:
     def test_paper_measure(self, tmp_path, capsys):
@@ -243,6 +261,21 @@ class TestRoundTrip:
 
     def test_missing_input_flag(self):
         assert main(["classify"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--input", "x.json", "--gamma", "0.1"],
+            ["moments", "--input", "x.json", "--tol", "1e-3"],
+            ["gen", "--seed", "1", "--input", "x.json"],
+            # no prefix matching: --d is gen's dimension, not solve's --delta
+            ["solve", "--input", "x.json", "--d", "1"],
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestCanonicalizeCommand:

@@ -74,20 +74,23 @@ def unit_atom():
 class TestPairings:
     def test_inner_normalization(self):
         mu = AtomicMeasure(np.array([0.3 + 0.1j]), np.array([1.0]))
-        assert inner_l2mu(lambda z: 1, lambda z: 1, mu) == pytest.approx(1)
+        assert inner_l2mu(np.ones(1), np.ones(1), mu) == pytest.approx(1)
 
     def test_inner_single_atom_first_moment(self, unit_atom):
         # integral of z against the atom (2+2i, 1/2) is 1+i
-        assert inner_l2mu(lambda z: z, lambda z: 1, unit_atom) == pytest.approx(1 + 1j)
+        z = unit_atom.atoms
+        assert inner_l2mu(z, np.ones(1), unit_atom) == pytest.approx(1 + 1j)
 
     def test_inner_quadratic(self, unit_atom):
-        got = inner_l2mu(lambda z: z, lambda z: z, unit_atom)
+        z = unit_atom.atoms
+        got = inner_l2mu(z, z, unit_atom)
         assert got == pytest.approx(0.5 * abs(2 + 2j) ** 2)
 
     def test_bilinear_vs_sesquilinear_at_i(self):
         mu = AtomicMeasure(np.array([1j]), np.array([1.0]))
-        assert bilinear_moment(lambda z: z, lambda z: z, mu) == pytest.approx(-1)
-        assert inner_l2mu(lambda z: z, lambda z: z, mu) == pytest.approx(1)
+        z = mu.atoms
+        assert bilinear_moment(z, z, mu) == pytest.approx(-1)
+        assert inner_l2mu(z, z, mu) == pytest.approx(1)
 
     def test_accepts_value_arrays(self, unit_atom):
         vals = unit_atom.atoms

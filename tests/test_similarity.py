@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from trisim import similarity
 from trisim.cli import random_class_matrix
-from trisim.core import InputError, TridiagonalSymmetric
+from trisim.core import InputError, PreconditionError, TridiagonalSymmetric
 from trisim.moments import extend_matrix
 from trisim.similarity import (
     SimilarityData,
+    SimilarityReport,
     apply_lhs,
     apply_rhs,
     build_polynomials,
@@ -126,6 +128,10 @@ class TestBuildTransform:
         with pytest.raises(InputError):
             build_transform(CHAIN2, rho=4)
 
+    def test_float64_exhaustion_is_a_precondition(self):
+        with pytest.raises(PreconditionError, match="ring order"):
+            build_transform(random_class_matrix(3, 20))
+
 
 class TestApplySides:
     def test_zero_vector(self, chain_data):
@@ -221,6 +227,25 @@ class TestVerifySimilarity:
         )
         assert not verify_similarity(CHAIN2, corrupted).passed
 
+    def test_each_check_runs_once(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            fn = getattr(similarity, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(similarity, name, wrapper)
+
+        counted("orthonormality_residuals")
+        counted("check_invertible")
+        m = random_class_matrix(34, 4)
+        report = verify_similarity(m, build_transform(m))
+        assert report.passed
+        assert sorted(calls) == ["check_invertible", "orthonormality_residuals"]
+
 
 class TestSesquilinearIsNotTheRightPairing:
     def test_sesquilinear_gram_fails_for_complex_matrix(self):
@@ -256,6 +281,27 @@ class TestCheckInvertible:
             data.measure.atoms[:2], data.measure.masses[:2]
         )
         assert check_invertible(sham) < 1e-12
+
+    def test_rank_deficient_sham_fails_verification(self):
+        # the duplicate-node sham above, judged by verify_similarity
+        m = random_class_matrix(8, 2)
+        data = build_transform(m)
+        fake = data.poly_at_atoms.copy()
+        fake[:, 1] = fake[:, 0]
+        sham = SimilarityData(
+            measure=type(data.measure)(data.measure.atoms[:2], data.measure.masses[:2]),
+            polys=data.polys,
+            dim=2,
+            rank_one_scale=data.rank_one_scale,
+            extended=data.extended,
+            poly_at_atoms=fake[:, :2],
+        )
+        report = verify_similarity(m, sham)
+        assert report.sigma_min < 1e-12
+        assert report.passed is False
+        # a singular node matrix fails the report even with zero residuals
+        singular = SimilarityReport(np.zeros(2), orthonormality=0.0, sigma_min=0.0, tol=1e-8)
+        assert singular.passed is False
 
     def test_two_distinct_atoms_suffice_for_d2(self):
         m = random_class_matrix(9, 2)
