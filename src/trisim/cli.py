@@ -30,7 +30,7 @@ from .core import (
     TridiagonalSymmetric,
     cmatrix_to_json,
     complex_to_json,
-    cvector_to_json,
+    random_class_matrix,
 )
 from .classify import (
     _is_class_tridiagonal,
@@ -145,7 +145,7 @@ def cmd_solve(args) -> int:
     if args.output is not None:
         io.measure_to_csv(mu, args.output + ".csv")
     io.dump_json(
-        {"residuals": list(residuals), "max_residual": float(residuals.max())},
+        {"residuals": residuals.tolist(), "max_residual": float(residuals.max())},
         None,
     )
     return EXIT_PASS if residuals.max() <= args.tol else EXIT_VERIFICATION
@@ -159,13 +159,12 @@ def cmd_similarity(args) -> int:
     out = {
         "measure": io.measure_to_json(data.measure),
         "polynomials": [
-            cvector_to_json(data.polys.coeffs[n, : n + 1])
-            for n in range(data.polys.n_max + 1)
+            row[: n + 1] for n, row in enumerate(cmatrix_to_json(data.polys.coeffs))
         ],
         "rank_one_scale": complex_to_json(data.rank_one_scale),
         "node_matrix_sigma_min": report.sigma_min,
         "orthonormality_residual": report.orthonormality,
-        "residuals": list(report.residuals),
+        "residuals": report.residuals.tolist(),
         "max_residual": report.max_residual,
         "passed": report.passed,
     }
@@ -181,23 +180,10 @@ def cmd_verify(args) -> int:
     seq = io.moments_from_json(obj["moments"])
     residuals = verify_measure(mu, seq)
     io.dump_json(
-        {"residuals": list(residuals), "max_residual": float(residuals.max())},
+        {"residuals": residuals.tolist(), "max_residual": float(residuals.max())},
         args.output,
     )
     return EXIT_PASS if residuals.max() <= args.tol else EXIT_VERIFICATION
-
-
-def random_class_matrix(seed: int, d: int) -> TridiagonalSymmetric:
-    """Reproducible class matrix: diagonal in the unit box, off-diagonal in
-    the annulus 0.5 <= |a| <= 2 (so membership holds by construction)."""
-    if d < 2:
-        raise InputError("dimension must be at least 2")
-    rng = np.random.default_rng(seed)
-    diag = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
-    radii = np.sqrt(rng.uniform(0.25, 4.0, d - 1))
-    phases = rng.uniform(0, 2 * np.pi, d - 1)
-    offdiag = radii * np.exp(1j * phases)
-    return TridiagonalSymmetric(diag, offdiag)
 
 
 def cmd_gen(args) -> int:

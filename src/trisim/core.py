@@ -255,6 +255,19 @@ class GramReport:
         )
 
 
+def random_class_matrix(seed: int, d: int) -> TridiagonalSymmetric:
+    """Reproducible class matrix: diagonal in the unit box, off-diagonal in
+    the annulus 0.5 <= |a| <= 2 (so membership holds by construction)."""
+    if d < 2:
+        raise InputError("dimension must be at least 2")
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
+    radii = np.sqrt(rng.uniform(0.25, 4.0, d - 1))
+    phases = rng.uniform(0, 2 * np.pi, d - 1)
+    offdiag = radii * np.exp(1j * phases)
+    return TridiagonalSymmetric(diag, offdiag)
+
+
 # --- JSON helpers: complex numbers travel as [re, im] pairs -----------------
 
 def complex_to_json(z: complex) -> list[float]:
@@ -272,7 +285,9 @@ def complex_from_json(v) -> complex:
 
 
 def cvector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=np.complex128)]
+    """[re, im] pairs of plain floats; a 2-d array gives rows of pairs."""
+    a = np.asarray(v, dtype=np.complex128)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def cvector_from_json(v) -> np.ndarray:
@@ -282,7 +297,7 @@ def cvector_from_json(v) -> np.ndarray:
 
 
 def cmatrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [cvector_to_json(row) for row in np.asarray(m, dtype=np.complex128)]
+    return cvector_to_json(m)
 
 
 def cmatrix_from_json(rows) -> np.ndarray:

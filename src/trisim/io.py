@@ -2,7 +2,8 @@
 
 Complex numbers travel as two-element [re, im] arrays everywhere; floats
 are written by the shortest round-trip decimal, so emitted files re-parse
-to bit-identical values.
+to bit-identical values.  Each document is written as one line with sorted
+keys (``python -m json.tool out.json`` pretty-prints it).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .core import (
     cmatrix_from_json,
     cmatrix_to_json,
     complex_from_json,
-    complex_to_json,
     cvector_from_json,
     cvector_to_json,
 )
@@ -79,8 +79,8 @@ def vector_from_json(obj: dict, key: str) -> np.ndarray | None:
 def measure_to_json(mu: AtomicMeasure) -> dict:
     return {
         "atoms": [
-            {"z": complex_to_json(z), "mass": float(m)}
-            for z, m in zip(mu.atoms, mu.masses)
+            {"z": z, "mass": m}
+            for z, m in zip(cvector_to_json(mu.atoms), mu.masses.tolist())
         ]
     }
 
@@ -119,7 +119,8 @@ def moments_from_json(obj: dict) -> MomentSequence:
 
 
 def dump_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    # no indent: any indent sends json.dumps through its pure-Python encoder
+    text = json.dumps(obj, sort_keys=True)
     if path is None:
         print(text)
     else:
@@ -144,5 +145,5 @@ def measure_to_csv(mu: AtomicMeasure, path: str) -> None:
     """Plot-ready atom table: one `re,im,mass` row per atom."""
     with open(path, "w") as fh:
         fh.write("re,im,mass\n")
-        for z, m in zip(mu.atoms, mu.masses):
+        for z, m in zip(mu.atoms.tolist(), mu.masses.tolist()):
             fh.write(f"{z.real!r},{z.imag!r},{m!r}\n")

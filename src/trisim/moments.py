@@ -310,13 +310,23 @@ def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
 
     The denominator max(1, |s_k|, max|z|^k * total mass) reflects the
     largest magnitude entering the atom sum; ring radii grow geometrically
-    so an absolute residual would be meaningless at high orders.
+    so an absolute residual would be meaningless at high orders.  Raises
+    ``PreconditionError`` when max|z|^k * total mass overflows float64.
     """
     zmax = float(np.max(np.abs(mu.atoms)))
+    mass = mu.total_mass
     out = np.empty(seq.rho + 1)
     for k in range(seq.rho + 1):
+        try:
+            bound = zmax**k * mass
+        except OverflowError:  # from zmax**k; an overflowing product gives inf
+            bound = np.inf
+        if bound == np.inf:
+            raise PreconditionError(
+                f"float64 range exhausted at moment order {k}: max|z| {zmax:.6g} "
+                f"to the power {k} times total mass {mass:.6g} overflows"
+            )
         target = seq.values[k]
-        got = mu.moment(k)
-        scale = max(1.0, abs(target), zmax**k * mu.total_mass)
-        out[k] = abs(got - target) / scale
+        scale = max(1.0, abs(target), bound)
+        out[k] = abs(mu.moment(k) - target) / scale
     return out

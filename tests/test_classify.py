@@ -15,8 +15,8 @@ from trisim.core import (
     PreconditionError,
     TridiagonalSymmetric,
     gram_det,
+    random_class_matrix,
 )
-from trisim.cli import random_class_matrix
 from trisim.moments import spectral_moments
 
 CHAIN2 = np.array([[0, 1], [1, 0]], dtype=complex)

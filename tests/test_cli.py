@@ -8,15 +8,25 @@ import numpy as np
 import pytest
 
 import trisim
-from trisim.cli import main, random_class_matrix
+from trisim.cli import main
 from trisim import io
-from trisim.core import TridiagonalSymmetric
+from trisim.core import TridiagonalSymmetric, cvector_from_json, random_class_matrix
+from trisim.moments import RadiusSchedule
+from trisim.similarity import build_transform, verify_similarity
 
 
 def write(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
     return str(p)
+
+
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter, so that a traceback would reach stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trisim.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "trisim.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 
 def chain_file(tmp_path):
@@ -123,6 +133,8 @@ class TestSolve:
         csv = (tmp_path / "mu.json.csv").read_text().splitlines()
         assert csv[0] == "re,im,mass"
         assert len(csv) == 1 + len(measure["atoms"])
+        rows = [[float(x) for x in line.split(",")] for line in csv[1:]]
+        assert rows == [[*atom["z"], atom["mass"]] for atom in measure["atoms"]]
 
     def test_single_moment_rejected(self, tmp_path):
         inp = write(tmp_path, "m.json", {"s": [[1, 0]]})
@@ -196,12 +208,7 @@ class TestSimilarityCommand:
     def test_float64_exhaustion_exits_3(self, tmp_path):
         op = tmp_path / "op.json"
         assert main(["gen", "--seed", "3", "--d", "20", "--output", str(op)]) == 0
-        # a fresh interpreter, so that a traceback would reach stderr
-        env = dict(os.environ, PYTHONPATH=str(Path(trisim.__file__).parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-m", "trisim.cli", "similarity", "--input", str(op)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_fresh("similarity", "--input", str(op))
         assert proc.returncode == 3
         assert "ring order" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -240,6 +247,27 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--input", inp]) == 1
 
+    @pytest.mark.parametrize(
+        "z, mass, order",
+        [
+            (1e200, 1.0, 2),  # max|z|^k itself overflows
+            (1e10, 1e300, 1),  # only the product overflows; the residual would be NaN
+        ],
+    )
+    def test_float64_exhaustion_exits_3(self, tmp_path, z, mass, order):
+        inp = write(
+            tmp_path,
+            "v.json",
+            {
+                "measure": {"atoms": [{"z": [z, 0], "mass": mass}]},
+                "moments": {"rho": 2, "s": [[mass, 0], [0, 0], [0, 0]]},
+            },
+        )
+        proc = run_fresh("verify", "--input", inp)
+        assert proc.returncode == 3
+        assert f"moment order {order}: max|z| {z:.6g}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestRoundTrip:
     def test_operator_json_bit_exact(self, tmp_path):
@@ -258,6 +286,32 @@ class TestRoundTrip:
         again = io.measure_from_json(json.loads(json.dumps(io.measure_to_json(mu))))
         assert np.array_equal(again.atoms, mu.atoms)
         assert np.array_equal(again.masses, mu.masses)
+
+    @pytest.mark.parametrize("d, gamma", [(12, None), (32, 1.01)])
+    def test_similarity_output_bit_exact(self, tmp_path, d, gamma):
+        op = tmp_path / "op.json"
+        io.dump_json(io.operator_to_json(random_class_matrix(d, d)), str(op))
+        out = tmp_path / "sim.json"
+        argv = ["similarity", "--input", str(op), "--output", str(out)]
+        schedule = RadiusSchedule()
+        if gamma is not None:
+            argv += ["--gamma", repr(gamma)]
+            schedule = RadiusSchedule(gamma=gamma)
+        assert main(argv) == 0
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        result = json.loads(text)
+
+        _, tri = io.operator_from_json(io.load_json(str(op)))
+        data = build_transform(tri, schedule=schedule)
+        report = verify_similarity(tri, data)
+        mu = io.measure_from_json(result["measure"])
+        assert np.array_equal(mu.atoms, data.measure.atoms)
+        assert np.array_equal(mu.masses, data.measure.masses)
+        assert len(result["polynomials"]) == data.polys.n_max + 1
+        for n, row in enumerate(result["polynomials"]):
+            assert np.array_equal(cvector_from_json(row), data.polys.coeffs[n, : n + 1])
+        assert np.array_equal(np.array(result["residuals"]), report.residuals)
 
     def test_missing_input_flag(self):
         assert main(["classify"]) == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisim import io
 from trisim.core import (
     AtomicMeasure,
     ConjugationMap,
@@ -12,12 +13,22 @@ from trisim.core import (
     TridiagonalSymmetric,
     bilinear_moment,
     complex_from_json,
+    cmatrix_to_json,
     complex_to_json,
     cvector_from_json,
     cvector_to_json,
     gram_det,
     inner_l2mu,
 )
+
+
+def leaves(obj):
+    """The scalars of a nested JSON-like value, in order (dict keys sorted)."""
+    if isinstance(obj, dict):
+        return [x for k in sorted(obj) for x in leaves(obj[k])]
+    if isinstance(obj, list):
+        return [x for item in obj for x in leaves(item)]
+    return [obj]
 
 
 def e(k, d):
@@ -165,6 +176,35 @@ class TestComplexJson:
         v = np.array([0.1 + 0.2j, -3.5, 1e300j])
         again = cvector_from_json(json.loads(json.dumps(cvector_to_json(v))))
         assert np.array_equal(again, v)
+
+    def test_vectorized_writers_match_per_element(self):
+        # the per-element complex_to_json is the reference; repr tells -0.0
+        # from 0.0, and the type check a numpy scalar from a plain float
+        v = np.array([complex(-0.0, 1e300), complex(5e-324, -0.0), 1 / 3 - 2e-7j])
+        m = np.array([v, v[::-1], -v])
+        mu = AtomicMeasure(v, [5e-324, 1e300, 0.25])
+        one = AtomicMeasure(v[1:2], [1.0])
+
+        def measure_ref(mu):
+            return {
+                "atoms": [
+                    {"z": complex_to_json(z), "mass": float(w)}
+                    for z, w in zip(mu.atoms, mu.masses)
+                ]
+            }
+
+        cases = [
+            (cvector_to_json(v), [complex_to_json(z) for z in v]),
+            (cvector_to_json(v[:1]), [complex_to_json(v[0])]),
+            (cmatrix_to_json(m), [[complex_to_json(z) for z in row] for row in m]),
+            (io.measure_to_json(mu), measure_ref(mu)),
+            (io.measure_to_json(one), measure_ref(one)),
+        ]
+        for got, want in cases:
+            assert got == want
+            assert [(type(x), repr(x)) for x in leaves(got)] == [
+                (float, repr(x)) for x in leaves(want)
+            ]
 
     def test_malformed_pair(self):
         with pytest.raises(InputError):

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from trisim import moments
-from trisim.cli import random_class_matrix
-from trisim.core import AtomicMeasure, ConsistencyError, InputError, TridiagonalSymmetric
+from trisim.core import (
+    AtomicMeasure,
+    ConsistencyError,
+    InputError,
+    TridiagonalSymmetric,
+    random_class_matrix,
+)
 from trisim.similarity import build_transform, verify_similarity
 from trisim.moments import (
     MomentSequence,

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from trisim import similarity
-from trisim.cli import random_class_matrix
-from trisim.core import InputError, PreconditionError, TridiagonalSymmetric
+from trisim.core import (
+    InputError,
+    PreconditionError,
+    TridiagonalSymmetric,
+    random_class_matrix,
+)
 from trisim.moments import extend_matrix
 from trisim.similarity import (
     SimilarityData,
