@@ -6,7 +6,8 @@ sub-diagonal.  The characterization is two-sided: the Gram-determinant
 condition on the Krylov vectors is necessary and sufficient (given a
 conjugation fixing the cyclic vector), and the sufficiency proof is
 constructive -- Gram-Schmidt plus a phase fix.  ``canonicalize`` is that
-construction.
+construction, with Gram-Schmidt done as a QR of the Krylov matrix whose R
+has a real positive diagonal.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .core import (
     TridiagonalSymmetric,
     as_complex_matrix,
     as_complex_vector,
-    gram_det,
-    hadamard_scale,
     rel_zero,
 )
 
@@ -121,11 +120,8 @@ def _krylov(a: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def check_cyclic(a, x0) -> float:
-    """Ratio sigma_min / sigma_max of the Krylov matrix; raises if not cyclic."""
-    a = as_complex_matrix(a, "A")
-    x0 = as_complex_vector(x0, "x0")
-    k = _krylov(a, x0, a.shape[0])
+def _require_cyclic(k: np.ndarray) -> float:
+    """Ratio sigma_min / sigma_max of the Krylov matrix k; raises if not cyclic."""
     sv = np.linalg.svd(k, compute_uv=False)
     ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     if ratio <= CYCLIC_RANK_TOL:
@@ -136,6 +132,13 @@ def check_cyclic(a, x0) -> float:
     return ratio
 
 
+def check_cyclic(a, x0) -> float:
+    """Ratio sigma_min / sigma_max of the Krylov matrix; raises if not cyclic."""
+    a = as_complex_matrix(a, "A")
+    x0 = as_complex_vector(x0, "x0")
+    return _require_cyclic(_krylov(a, x0, a.shape[0]))
+
+
 def gram_condition_check(
     a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL
 ) -> GramReport:
@@ -143,7 +146,10 @@ def gram_condition_check(
 
     All of them vanishing (relative to the Hadamard scale of the vectors) is
     the membership condition, given that J fixes x0 and x0 is cyclic; both
-    hypotheses are checked first.
+    hypotheses are checked first.  Gamma_n is the principal minor on the
+    indices 0..n and d-1+n of one Gram matrix of the columns
+    [K | (A^*)^1 x0 ... (A^*)^{d-1} x0], K the Krylov matrix; its scale is
+    the product of that block's diagonal.
     """
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
@@ -155,45 +161,32 @@ def gram_condition_check(
         raise PreconditionError(
             f"J x0 != x0 (residual {jx_res:.3e}); the criterion needs a fixed vector"
         )
-    check_cyclic(a, x0)
+    k = _krylov(a, x0, d)
+    _require_cyclic(k)
 
-    xs = [x0]
-    for _ in range(d - 1):
-        xs.append(a @ xs[-1])
-    ah = a.conj().T
-    xstar = x0
+    v = np.hstack((k, _krylov(a.conj().T, x0, d)[:, 1:]))
+    # entry (p, q) is (y_p, y_q), second slot conjugated, as in core.gram_det
+    gram = v.T @ v.conj()
+    sq_norms = gram.diagonal().real
     values: list[tuple[int, complex]] = []
     scales: list[float] = []
     for n in range(1, d):
-        xstar = ah @ xstar
-        vecs = xs[: n + 1] + [xstar]
-        values.append((n, gram_det(vecs)))
-        scales.append(hadamard_scale(vecs))
+        idx = np.array([*range(n + 1), d - 1 + n])
+        values.append((n, complex(np.linalg.det(gram[idx[:, None], idx]))))
+        scales.append(float(np.prod(sq_norms[idx])))
     return GramReport(values=values, scales=scales, tol=tol)
-
-
-def _orthonormalize_twice(k: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one full re-orthogonalization pass."""
-    q = np.array(k, dtype=np.complex128)
-    n = q.shape[1]
-    for i in range(n):
-        for _ in range(2):
-            for j in range(i):
-                q[:, i] -= (q[:, j].conj() @ q[:, i]) * q[:, j]
-        nrm = np.linalg.norm(q[:, i])
-        if nrm == 0.0:
-            raise ConsistencyError("Gram-Schmidt hit a zero vector; x0 not cyclic?")
-        q[:, i] /= nrm
-    return q
 
 
 def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """Build the orthonormal basis in which A is tridiagonal complex symmetric.
 
-    Gram-Schmidt on the Krylov vectors gives g_0..g_{d-1}; the membership
+    The Gram-Schmidt basis g_0..g_{d-1} of the Krylov vectors is the Q
+    factor of the Krylov matrix K = QR, its columns rotated so that diag(R)
+    is real and positive (the unique such factor).  The membership
     condition forces J g_r = e^{i phi_r} g_r, and the half-phase rotation
     u_r = e^{i phi_r / 2} g_r makes every basis vector J-fixed.  The matrix
     of A in the u-basis is then extracted and verified to lie in the class.
+    Every check is judged at ``tol``.
     """
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
@@ -201,36 +194,36 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
 
     res = verify_j_symmetric(a, j, tol)
     scale_a = float(np.max(np.abs(a)))
-    if not rel_zero(res, scale_a, max(tol, 1e-8)):
+    if not rel_zero(res, scale_a, tol):
         raise PreconditionError(f"A is not J-symmetric (residual {res:.3e})")
-    report = gram_condition_check(a, x0, j, max(tol, 1e-8))
+    report = gram_condition_check(a, x0, j, tol)
     if not report.passed:
         raise PreconditionError(
             "Gram-determinant condition fails "
             f"(max relative Gamma = {report.max_relative():.3e})"
         )
 
-    g = _orthonormalize_twice(_krylov(a, x0, d))
-    phases = np.empty(d)
-    u = np.empty_like(g)
-    for r in range(d):
-        jg = j.apply(g[:, r])
-        beta = complex(jg @ np.conj(g[:, r]))
-        dev = float(np.linalg.norm(jg - beta * g[:, r]))
-        if dev > max(tol, 1e-7):
-            raise ConsistencyError(
-                f"J g_{r} is not proportional to g_{r} (deviation {dev:.3e}); "
-                "the Gram condition is numerically broken"
-            )
-        beta /= abs(beta)
-        phi = float(np.angle(beta))
-        if phi < 0:
-            phi += 2 * np.pi
-        phases[r] = phi
-        u[:, r] = np.exp(0.5j * phi) * g[:, r]
+    # x0 is cyclic (checked above), so no |r_ii| vanishes
+    q, upper = np.linalg.qr(_krylov(a, x0, d))
+    g = q * (np.diagonal(upper) / np.abs(np.diagonal(upper)))
+
+    jg = j.apply(g)
+    beta = np.sum(jg * np.conj(g), axis=0)
+    dev = np.linalg.norm(jg - beta * g, axis=0)
+    bad = dev > tol
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ConsistencyError(
+            f"J g_{r} is not proportional to g_{r} (deviation {dev[r]:.3e}); "
+            "the Gram condition is numerically broken"
+        )
+    # phi_r in [-tol, 2 pi - tol): with the cut at 0, rounding picks the
+    # sign of u_r whenever phi_r is 0, as phi_0 is on every input (J x0 = x0)
+    phases = (np.angle(beta) + tol) % (2 * np.pi) - tol
+    u = g * np.exp(0.5j * phases)
 
     m_dense = u.conj().T @ a @ u
-    ok, tri, reason = is_class_matrix(m_dense, max(tol, 1e-8))
+    ok, tri, reason = is_class_matrix(m_dense, tol)
     if not ok:
         raise ConsistencyError(f"canonical matrix fell outside the class: {reason}")
     return CanonicalForm(basis=u, matrix=tri, phases=phases)

@@ -11,7 +11,7 @@ Subcommands cover each pipeline stage plus the end-to-end run:
   gen           reproducible random class matrices
 
 Exit codes: 0 pass, 1 verification failure, 2 malformed input,
-3 precondition violation.
+3 precondition violation, 4 internal-invariant failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import io
 from .core import (
     DEFAULT_TOL,
     ConjugationMap,
+    ConsistencyError,
     InputError,
     PreconditionError,
     TridiagonalSymmetric,
@@ -47,6 +48,7 @@ EXIT_PASS = 0
 EXIT_VERIFICATION = 1
 EXIT_MALFORMED = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _schedule(args) -> RadiusSchedule:
@@ -246,6 +248,9 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MALFORMED
+    except ConsistencyError as e:
+        print(f"internal invariant violated: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

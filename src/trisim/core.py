@@ -227,14 +227,6 @@ def gram_det(vectors) -> complex:
     return complex(np.linalg.det(g))
 
 
-def hadamard_scale(vectors) -> float:
-    """Product of squared norms; the natural magnitude scale for a Gram det."""
-    out = 1.0
-    for v in vectors:
-        out *= float(np.vdot(v, v).real)
-    return out
-
-
 @dataclass
 class GramReport:
     """Gram determinants Gamma_n for n = 1..d-1 with their zero-test scales."""

@@ -284,6 +284,8 @@ def algorithm1(
                 schedule.gamma * r_prev,
                 1.0,
             )
+            if not np.isfinite(r_n):  # |c_n| / ring mass overflowed to inf
+                raise OverflowError
             ct_n = _normalized_target(s0_step, c_n, n, r_n, schedule.delta)
         except OverflowError:
             raise PreconditionError(

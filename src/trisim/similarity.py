@@ -54,12 +54,13 @@ def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
     """Coefficient table of the recurrence polynomials up to degree n_max.
 
     p_0 = 1 and p_{n+1} = ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n with the
-    coefficients taken from the extended matrix; the leading coefficient of
-    p_n is forced to 1/(a_0 ... a_{n-1}).
+    coefficients taken from the extended matrix, or from ``m`` itself when
+    it already has n_max + 1 rows; the leading coefficient of p_n is forced
+    to 1/(a_0 ... a_{n-1}).
     """
     if n_max < 0:
         raise InputError("n_max must be non-negative")
-    ext = extend_matrix(m, max(m.dim, n_max + 1))
+    ext = m if m.dim > n_max else extend_matrix(m, n_max + 1)
     for k in range(min(n_max, len(ext.offdiag))):
         if abs(ext.offdiag[k]) < 1e-14:
             raise InputError(f"cannot divide by a_{k} = 0 in the recurrence")
@@ -196,7 +197,7 @@ def build_transform(
     ext = extend_matrix(m, d + 1)
     return SimilarityData(
         measure=mu,
-        polys=build_polynomials(m, d),
+        polys=build_polynomials(ext, d),
         dim=d,
         rank_one_scale=complex(ext.offdiag[d - 1]),
         extended=ext,

@@ -126,6 +126,26 @@ class TestGramCondition:
         assert not report.passed
         assert report.values[0][1] == pytest.approx(expected)
 
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_every_gamma_matches_oracle(self, d):
+        # each Gamma_n and its scale against gram_det and the product of
+        # squared norms of the n + 2 vectors, built one by one
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x0 = rng.normal(size=d) + 0j
+        report = gram_condition_check(a, x0, ConjugationMap.standard(d))
+        assert [n for n, _ in report.values] == list(range(1, d))
+        xs = [x0]
+        xstar = x0
+        for (n, g), scale in zip(report.values, report.scales):
+            xs.append(a @ xs[-1])
+            xstar = a.conj().T @ xstar
+            vecs = xs + [xstar]
+            assert scale == pytest.approx(np.prod([np.vdot(v, v).real for v in vecs]))
+            assert abs(g - gram_det(vecs)) <= 1e-12 * scale
+        assert abs(report.values[0][1]) > 1e-3 * report.scales[0]
+        assert not report.passed
+
     def test_gamma_at_top_index_is_trivially_zero(self):
         # n = d-1 involves d+1 vectors, which are always dependent
         m = random_class_matrix(11, 3)
@@ -193,6 +213,49 @@ class TestCanonicalize:
             s_orig = spectral_moments(m, 2 * d + 1).values
             s_rec = spectral_moments(form.matrix, 2 * d + 1).values
             assert np.max(np.abs(s_orig - s_rec) / np.maximum(1, np.abs(s_orig))) < 1e-8
+
+    @staticmethod
+    def disguised(seed, d):
+        m = random_class_matrix(500 + seed, d)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q @ m.dense() @ q.conj().T, np.ascontiguousarray(q[:, 0]), ConjugationMap(q @ q.T)
+
+    def test_gram_schmidt_gauge(self):
+        # undoing the half-phase rotation leaves the Gram-Schmidt basis G of
+        # the Krylov vectors: G^H K is upper triangular with a real positive
+        # diagonal
+        for seed in range(20):
+            d = 2 + seed % 11
+            a, x0, j = self.disguised(seed, d)
+            form = canonicalize(a, x0, j)
+            g = form.basis * np.exp(-0.5j * form.phases)
+            k = np.column_stack([np.linalg.matrix_power(a, n) @ x0 for n in range(d)])
+            r = (g.conj().T @ k) / np.linalg.norm(k, axis=0)
+            assert np.max(np.abs(np.tril(r, -1))) < 1e-10
+            assert np.max(np.abs(r.diagonal().imag)) < 1e-10
+            assert np.all(r.diagonal().real > 0)
+
+    def test_first_basis_vector_is_x0(self):
+        # J x0 = x0 makes phi_0 = 0; rounding may put it on either side of
+        # the cut, and must not flip the sign of u_0
+        for seed in range(20):
+            d = 2 + seed % 11
+            a, x0, j = self.disguised(seed, d)
+            form = canonicalize(a, x0, j)
+            assert abs(form.phases[0]) < 1e-12
+            assert np.max(np.abs(form.basis[:, 0] - x0 / np.linalg.norm(x0))) < 1e-12
+
+    def test_tol_is_used(self):
+        # a J-symmetry residual of 5e-9 relative lies between the tol and
+        # 1e-8: rejected at tol 1e-9, accepted at 1e-8
+        m = random_class_matrix(21, 4).dense()
+        scale = float(np.max(np.abs(m)))
+        m[0, 1] += 5e-9 * scale
+        j = ConjugationMap.standard(4)
+        with pytest.raises(PreconditionError, match="J-symmetric"):
+            canonicalize(m, e0(4), j, 1e-9)
+        canonicalize(m, e0(4), j, 1e-8)
 
     def test_rejects_non_j_symmetric(self):
         a = np.array([[0, 1], [0, 0]], dtype=complex)

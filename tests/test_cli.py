@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 import trisim
+from trisim import cli
 from trisim.cli import main
 from trisim import io
-from trisim.core import TridiagonalSymmetric, cvector_from_json, random_class_matrix
+from trisim.core import (
+    ConsistencyError,
+    TridiagonalSymmetric,
+    cvector_from_json,
+    random_class_matrix,
+)
 from trisim.moments import RadiusSchedule
 from trisim.similarity import build_transform, verify_similarity
 
@@ -151,6 +157,14 @@ class TestSolve:
     def test_nonpositive_s0(self, tmp_path):
         inp = write(tmp_path, "m.json", {"s": [[-1, 0], [0, 0], [0, 0]]})
         assert main(["solve", "--input", inp]) == 2  # rejected at parse
+
+    def test_infinite_ring_radius_exits_3(self, tmp_path):
+        # |c_2| / ring mass overflows to inf, so no finite radius admits it
+        inp = write(tmp_path, "m.json", {"rho": 2, "s": [[1e-300, 0], [0, 0], [1e10, 0]]})
+        proc = run_fresh("solve", "--input", inp)
+        assert proc.returncode == 3
+        assert "ring order 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestMomentsCommand:
@@ -315,6 +329,16 @@ class TestRoundTrip:
 
     def test_missing_input_flag(self):
         assert main(["classify"]) == 2
+
+    def test_internal_invariant_exits_4(self, monkeypatch, capsys):
+        def broken(args):
+            raise ConsistencyError("invariant broken")
+
+        monkeypatch.setattr(cli, "cmd_gen", broken)
+        assert main(["gen", "--seed", "1"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invariant broken" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

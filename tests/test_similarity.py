@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trisim import similarity
+from trisim import moments, similarity
 from trisim.core import (
     InputError,
     PreconditionError,
@@ -249,6 +249,22 @@ class TestVerifySimilarity:
         report = verify_similarity(m, build_transform(m))
         assert report.passed
         assert sorted(calls) == ["check_invertible", "orthonormality_residuals"]
+
+    def test_extends_once_outside_spectral_moments(self, monkeypatch):
+        # spectral_moments extends to its own truncation size; the (d+1)-row
+        # extension of build_transform serves the polynomials too
+        calls = []
+
+        def counted(m, n):
+            calls.append(n)
+            return extend_matrix(m, n)
+
+        monkeypatch.setattr(similarity, "extend_matrix", counted)
+        monkeypatch.setattr(moments, "extend_matrix", counted)
+        m = random_class_matrix(35, 5)
+        data = build_transform(m)
+        assert calls == [2 * 5 + 3, 5 + 1]
+        assert np.array_equal(data.polys.coeffs, build_polynomials(m, 5).coeffs)
 
 
 class TestSesquilinearIsNotTheRightPairing:
