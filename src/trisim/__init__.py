@@ -35,8 +35,6 @@ from .moments import (
 from .similarity import (
     PolynomialFamily,
     SimilarityData,
-    apply_lhs,
-    apply_rhs,
     build_polynomials,
     build_transform,
     check_invertible,

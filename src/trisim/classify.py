@@ -113,17 +113,25 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
 
 
 def _krylov(a: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
-    """Columns x0, A x0, ..., A^{n-1} x0."""
+    """Columns x0, A x0, ..., A^{n-1} x0; an overflow leaves inf or nan."""
     cols = [x0]
-    for _ in range(n - 1):
-        cols.append(a @ cols[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n - 1):
+            cols.append(a @ cols[-1])
     return np.column_stack(cols)
 
 
 def _require_cyclic(k: np.ndarray) -> float:
-    """Ratio sigma_min / sigma_max of the Krylov matrix k; raises if not cyclic."""
-    sv = np.linalg.svd(k, compute_uv=False)
-    ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    """sigma_min / sigma_max of the Krylov matrix k with each column scaled to
+    largest entry 1, as ||A^j x0|| grows like ||A||^j; raises if not cyclic."""
+    scales = np.abs(k).max(axis=0)
+    if not np.isfinite(scales).all():
+        j = int(np.argmin(np.isfinite(scales)))
+        raise PreconditionError(f"float64 range exhausted at Krylov order {j}: A^{j} x0 overflows")
+    ratio = 0.0
+    if scales.all():
+        sv = np.linalg.svd(k / scales, compute_uv=False)
+        ratio = float(sv[-1] / sv[0])
     if ratio <= CYCLIC_RANK_TOL:
         raise PreconditionError(
             f"x0 is not a cyclic vector: Krylov matrix rank deficient "
@@ -133,7 +141,7 @@ def _require_cyclic(k: np.ndarray) -> float:
 
 
 def check_cyclic(a, x0) -> float:
-    """Ratio sigma_min / sigma_max of the Krylov matrix; raises if not cyclic."""
+    """sigma_min / sigma_max of the column-scaled Krylov matrix; raises if not cyclic."""
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
     return _require_cyclic(_krylov(a, x0, a.shape[0]))

@@ -107,10 +107,11 @@ def moments_from_json(obj: dict) -> MomentSequence:
     if not isinstance(obj, dict) or "s" not in obj:
         raise InputError("moment object must carry an 's' list")
     values = cvector_from_json(obj["s"])
-    try:
-        rho = int(obj.get("rho", len(values) - 1))
-    except (TypeError, ValueError):
-        raise InputError(f"rho must be an integer, got {obj['rho']!r}") from None
+    rho = obj.get("rho", len(values) - 1)
+    if isinstance(rho, float) and rho.is_integer():
+        rho = int(rho)
+    if not isinstance(rho, int) or isinstance(rho, bool):
+        raise InputError(f"rho must be an integer, got {rho!r}")
     if rho != len(values) - 1:
         raise InputError(f"rho = {rho} does not match {len(values)} moments")
     if rho < 1:

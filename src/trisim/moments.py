@@ -86,7 +86,8 @@ def spectral_moments(
     the coefficient vectors follow the same three-term pattern as the
     extended matrix, so s_k is the (0,0) entry of its plain k-th power.
     Any truncation size >= rho + 2 gives bit-identical results; the
-    recursion cannot reach the extra rows in rho steps.
+    recursion cannot reach the extra rows in rho steps.  Raises
+    ``PreconditionError`` when some s_k overflows float64.
     """
     ok, reason = _is_class_tridiagonal(m)
     if not ok:
@@ -101,10 +102,14 @@ def spectral_moments(
     c = np.zeros(ext.dim, dtype=np.complex128)
     c[0] = 1.0
     s = np.empty(rho + 1, dtype=np.complex128)
-    for k in range(rho + 1):
-        s[k] = c[0]
-        if k < rho:
-            c = _tri_matvec(ext.diag, ext.offdiag, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(rho + 1):
+            s[k] = c[0]
+            if k < rho:
+                c = _tri_matvec(ext.diag, ext.offdiag, c)
+    if not np.isfinite(s).all():
+        k = int(np.argmin(np.isfinite(s)))
+        raise PreconditionError(f"float64 range exhausted at moment order {k}: s_{k} overflows")
     return MomentSequence(rho=rho, values=s)
 
 

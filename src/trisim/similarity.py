@@ -142,18 +142,6 @@ class SimilarityData:
     # values p_n(z_j), n = 0..d, at the atoms (recurrence path)
     poly_at_atoms: np.ndarray = field(repr=False, default=None)
 
-    def left_factor_values(self) -> np.ndarray:
-        """a(z) = -a_{d-1} p_d(z) at the atoms."""
-        return -self.rank_one_scale * self.poly_at_atoms[self.dim]
-
-    def right_factor_values(self) -> np.ndarray:
-        """b(z) = conj(p_{d-1}(z)) at the atoms."""
-        return np.conj(self.poly_at_atoms[self.dim - 1])
-
-    def node_matrix(self) -> np.ndarray:
-        """V[j, k] = sqrt(m_j) p_k(z_j), k < d; full rank certifies T invertible."""
-        return np.sqrt(self.measure.masses)[:, None] * self.poly_at_atoms[: self.dim].T
-
 
 def orthonormality_residuals(
     poly_at_atoms: np.ndarray, mu: AtomicMeasure, n_max: int
@@ -206,63 +194,17 @@ def build_transform(
 
 
 def check_invertible(data: SimilarityData) -> float:
-    """Smallest singular value of the node matrix; positive means T invertible.
+    """Smallest singular value of the node matrix sqrt(m_j) p_k(z_j); > 0 means T invertible.
 
     Only positivity is asserted.  The far rings make the node matrix so
     ill-conditioned that the reported value depends on the row order: for
     ``random_class_matrix(1, 12)`` and the default schedule it is 0.963 on
     the node matrix and 0.677 on its rows reversed, with sigma_max 3.4e55.
     """
-    v = data.node_matrix()
+    v = np.sqrt(data.measure.masses)[:, None] * data.poly_at_atoms[: data.dim].T
     if v.shape[0] < data.dim:
         raise InputError("fewer atoms than the dimension; node matrix cannot have full rank")
     return float(np.linalg.svd(v, compute_uv=False)[-1])
-
-
-def _coefficient_rows(data: SimilarityData, u) -> np.ndarray:
-    """p-basis coefficients as a vector of length d or a stack of such rows."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim not in (1, 2) or u.shape[-1] != data.dim:
-        raise InputError(f"coefficient rows must have length {data.dim}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise InputError("coefficients contain non-finite entries")
-    return u
-
-
-def apply_lhs(
-    m: TridiagonalSymmetric, data: SimilarityData, u: np.ndarray
-) -> np.ndarray:
-    """(T A T^{-1} u) at the atoms, for u given by p-basis coefficients.
-
-    T^{-1} reads the coefficients as canonical-basis coordinates, the dense
-    matrix acts there, and T re-expands in the p-basis.  ``u`` is one
-    coefficient vector or a stack of rows; a stack gives one row of atom
-    values per coefficient row.
-    """
-    u = _coefficient_rows(data, u)
-    # A is symmetric, so u @ A is A applied to each coefficient row
-    eta = u @ m.dense()
-    return eta @ data.poly_at_atoms[: data.dim]
-
-
-def apply_rhs(data: SimilarityData, u: np.ndarray) -> np.ndarray:
-    """(Z_0 + a(z)(., b(z))) u at the atoms; ``u`` as in ``apply_lhs``.
-
-    Multiplication by z plus the rank-one term.  The sesquilinear pairing
-    against conj(p_{d-1}) collapses to the bilinear pairing against
-    p_{d-1}, which by orthonormality is exactly the top p-basis
-    coefficient of u; extracting it that way keeps the rank-one term
-    identically zero on the lower basis vectors instead of polluted by
-    cancellation noise from the far rings.  The atom-summed pairing
-    itself is validated separately by ``orthonormality_residuals``.
-    """
-    u = _coefficient_rows(data, u)
-    out = u @ data.poly_at_atoms[: data.dim]
-    # atoms as the first operand: numpy's complex multiply is not bitwise
-    # commutative, and z * p_k(z) is what the lower basis vectors must give
-    np.multiply(data.measure.atoms, out, out=out)
-    out += data.left_factor_values() * u[..., data.dim - 1, None]
-    return out
 
 
 @dataclass
@@ -284,29 +226,35 @@ class SimilarityReport:
 def verify_similarity(
     m: TridiagonalSymmetric, data: SimilarityData, tol: float = ORTHONORMALITY_TOL
 ) -> SimilarityReport:
-    """Judge the construction against one ``tol``.
+    """Judge the construction against one ``tol``; each check certifies
+    something different.
 
-    The similarity identity is checked on each p-basis vector: both sides
-    are evaluated at the atoms by independent paths, for all d basis
-    vectors in one batch, and compared in the measure-weighted norm,
-    relative to the norm of the right-hand side.  The report also carries
-    the bilinear orthonormality residual, which the rank-one reduction in
-    ``apply_rhs`` leans on (a perturbed measure fails through it), and the
-    node-matrix sigma_min, which must be positive for T to be invertible.
+    The similarity residual of p-basis vector u_k compares z p_k (minus
+    a_{d-1} p_d when k = d-1) with row k of A in the p-basis,
+    a_{k-1} p_{k-1} + b_k p_k + a_k p_{k+1} read from the bands of ``m``,
+    at the atoms in the measure-weighted norm relative to the former.  It
+    is the recurrence that produced ``poly_at_atoms``, so it certifies
+    their rounding and that ``data`` was built from ``m``, for any atoms.
+    Only the bilinear orthonormality residual ties the measure to the
+    moments, and a positive node-matrix sigma_min certifies T invertible.
     """
     d = data.dim
-    # both checks run before the basis arrays exist: in the other order
-    # glibc's dynamic mmap threshold raises peak RSS by a tenth at 10k atoms
+    if m.dim != d:
+        raise InputError(f"matrix has dimension {m.dim}, the transform {d}")
+    # both checks run before the d-by-n_atoms arrays exist: in the other
+    # order glibc's dynamic mmap threshold raises peak RSS by a tenth at 10k atoms
     orth = float(np.max(orthonormality_residuals(data.poly_at_atoms, data.measure, d)))
     sigma_min = check_invertible(data)
+    p = data.poly_at_atoms
     w = data.measure.masses
-    basis = np.eye(d, dtype=np.complex128)
-    rhs = apply_rhs(data, basis)
-    denom = np.sqrt(np.sum(w * np.abs(rhs) ** 2, axis=1))
-    # the difference overwrites rhs, so that at most two d-by-n_atoms
-    # arrays are alive at once
-    diff = rhs
-    diff -= apply_lhs(m, data, basis)
+    diff = data.measure.atoms * p[:d]
+    diff[d - 1] -= data.rank_one_scale * p[d]
+    denom = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=1))
+    # the left side is subtracted term by term, so that at most two
+    # d-by-n_atoms arrays are alive at once
+    diff -= m.diag[:, None] * p[:d]
+    diff[1:] -= m.offdiag[:, None] * p[: d - 1]
+    diff[:-1] -= m.offdiag[:, None] * p[1:d]
     num = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=1))
     res = num / np.where(denom > 0, denom, 1.0)
     return SimilarityReport(residuals=res, orthonormality=orth, sigma_min=sigma_min, tol=tol)

@@ -168,6 +168,26 @@ class TestCyclicityGuard:
             m = random_class_matrix(100 + seed, 4)
             assert check_cyclic(m.dense(), e0(4)) > 1e-8
 
+    @pytest.mark.parametrize("seed", [22, 24, 25, 45, 46, 56])
+    def test_growing_krylov_columns_stay_cyclic(self, seed):
+        # e0 is cyclic for every class matrix, but ||A^j e0|| grows like
+        # ||A||^j: on these d = 16 inputs sigma_min/sigma_max of the raw
+        # Krylov matrix fell below the rank threshold
+        d = 16
+        m = random_class_matrix(seed, d)
+        form = canonicalize(m.dense(), e0(d), ConjugationMap.standard(d), 1e-8)
+        want = spectral_moments(m, 2 * d + 1).values
+        got = spectral_moments(form.matrix, 2 * d + 1).values
+        assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-7
+
+    def test_zero_krylov_column_has_ratio_zero(self):
+        with pytest.raises(PreconditionError, match=r"= 0\.000e\+00"):
+            check_cyclic(CHAIN2, np.zeros(2))
+        # A e_1 = e_0 and A^2 e_1 = 0
+        nilpotent = np.diag(np.ones(2), 1)
+        with pytest.raises(PreconditionError, match=r"= 0\.000e\+00"):
+            check_cyclic(nilpotent, np.array([0.0, 1.0, 0.0]))
+
 
 class TestCanonicalize:
     def test_already_canonical(self):

@@ -112,8 +112,9 @@ class TestClassify:
         # well-formed JSON carrying a malformed number
         bad_diag = {"kind": "tridiagonal", "diag": [["x", 0], [0, 0]], "offdiag": [[1, 0]]}
         assert main(["classify", "--input", write(tmp_path, "d.json", bad_diag)]) == 2
-        bad_rho = {"rho": "abc", "s": [[1, 0], [0, 0], [1, 0]]}
-        assert main(["solve", "--input", write(tmp_path, "s.json", bad_rho)]) == 2
+        for rho in ("abc", 2.5, True):
+            bad_rho = {"rho": rho, "s": [[1, 0], [0, 0], [1, 0]]}
+            assert main(["solve", "--input", write(tmp_path, "s.json", bad_rho)]) == 2
         bad_mass = {
             "measure": {"atoms": [{"z": [0, 0], "mass": "x"}]},
             "moments": {"s": [[1, 0], [0, 0]]},
@@ -175,6 +176,17 @@ class TestMomentsCommand:
 
     def test_rho_must_exceed_2d(self, tmp_path):
         assert main(["moments", "--input", chain_file(tmp_path), "--rho", "4"]) == 2
+
+    @pytest.mark.parametrize("command", ["moments", "similarity"])
+    def test_overflowing_moments_exit_3(self, tmp_path, command):
+        # well-formed input whose s_2 = 2e320 overflows float64
+        op = {"kind": "tridiagonal", "diag": [[1e160, 0], [0, 0]], "offdiag": [[1e160, 0]]}
+        proc = run_fresh(command, "--input", write(tmp_path, "op.json", op))
+        assert proc.returncode == 3
+        assert "moment order 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestSimilarityCommand:
@@ -377,6 +389,27 @@ class TestCanonicalizeCommand:
         _, tri = io.operator_from_json(result["matrix"])
         assert isinstance(tri, TridiagonalSymmetric)
         assert len(result["phases"]) == 3
+
+    def test_growing_krylov_columns_accepted(self, tmp_path):
+        m = random_class_matrix(22, 16)
+        op = io.dense_to_json(m.dense())
+        op["x0"] = [[1.0, 0.0]] + [[0.0, 0.0]] * 15
+        assert main(["canonicalize", "--input", write(tmp_path, "op.json", op)]) == 0
+        op["C"] = io.dense_to_json(np.eye(16))["rows"]
+        assert main(["classify", "--input", write(tmp_path, "op.json", op)]) == 0
+
+    @pytest.mark.parametrize("command", ["classify", "canonicalize"])
+    def test_overflowing_krylov_vectors_exit_3(self, tmp_path, command):
+        # e0 is cyclic, but A^4 e0 has entries 1e400
+        a = np.diag(np.full(4, 1e100), 1)
+        op = io.dense_to_json(a + a.T)
+        op["C"] = io.dense_to_json(np.eye(5))["rows"]
+        op["x0"] = [[1.0, 0.0]] + [[0.0, 0.0]] * 4
+        proc = run_fresh(command, "--input", write(tmp_path, "op.json", op))
+        assert proc.returncode == 3
+        assert "Krylov order 4" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_missing_x0(self, tmp_path):
         p = write(

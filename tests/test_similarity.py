@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,6 @@ from trisim.moments import extend_matrix
 from trisim.similarity import (
     SimilarityData,
     SimilarityReport,
-    apply_lhs,
-    apply_rhs,
     build_polynomials,
     build_transform,
     check_invertible,
@@ -114,11 +114,10 @@ class TestBuildTransform:
 
     def test_chain_rank_one_pieces(self, chain_data):
         assert chain_data.rank_one_scale == 1  # a_1 comes from the extension
-        # left factor is -(z^2 - 1) at the atoms
         z = chain_data.measure.atoms
-        assert np.allclose(chain_data.left_factor_values(), -(z**2 - 1), rtol=1e-12)
-        # right factor is conj(p_1) = conj(z)
-        assert np.allclose(chain_data.right_factor_values(), np.conj(z), rtol=1e-12)
+        # the rank-one left factor -a_1 p_2 is -(z^2 - 1) at the atoms
+        left = -chain_data.rank_one_scale * chain_data.poly_at_atoms[2]
+        assert np.allclose(left, -(z**2 - 1), rtol=1e-12)
 
     def test_atom_count_and_rank(self, chain_data):
         assert chain_data.measure.n_atoms > 4
@@ -137,73 +136,6 @@ class TestBuildTransform:
             build_transform(random_class_matrix(3, 20))
 
 
-class TestApplySides:
-    def test_zero_vector(self, chain_data):
-        z = np.zeros(2, dtype=complex)
-        assert np.array_equal(apply_lhs(CHAIN2, chain_data, z), np.zeros(chain_data.measure.n_atoms))
-        assert np.array_equal(apply_rhs(chain_data, z), np.zeros(chain_data.measure.n_atoms))
-
-    def test_rank_one_locality(self):
-        # below the top basis vector the perturbation contributes nothing:
-        # apply_rhs(e_k) must equal z * p_k(z) exactly
-        m = random_class_matrix(31, 5)
-        data = build_transform(m)
-        z = data.measure.atoms
-        for k in range(4):
-            e = np.zeros(5, dtype=complex)
-            e[k] = 1
-            assert np.array_equal(apply_rhs(data, e), z * data.poly_at_atoms[k])
-
-    def test_chain_top_vector(self, chain_data):
-        # z*z - (z^2 - 1) = 1 at every atom
-        e1 = np.array([0, 1], dtype=complex)
-        got = apply_rhs(chain_data, e1)
-        assert np.allclose(got, 1.0, atol=1e-10)
-        # and the operator route agrees: A u_1 = u_0 maps to p_0 = 1
-        assert np.allclose(apply_lhs(CHAIN2, chain_data, e1), 1.0, atol=1e-10)
-
-    def test_top_vector_recurrence_rearrangement(self):
-        m = random_class_matrix(32, 4)
-        data = build_transform(m)
-        d = 4
-        e = np.zeros(d, dtype=complex)
-        e[d - 1] = 1
-        got = apply_rhs(data, e)
-        want = (
-            m.offdiag[d - 2] * data.poly_at_atoms[d - 2]
-            + m.diag[d - 1] * data.poly_at_atoms[d - 1]
-        )
-        scale = np.maximum(1.0, np.abs(want))
-        assert np.max(np.abs(got - want) / scale) < 1e-9
-
-    def test_rejects_wrong_length(self, chain_data):
-        with pytest.raises(InputError):
-            apply_rhs(chain_data, np.zeros(3))
-
-    def test_stack_matches_rows(self):
-        m = random_class_matrix(33, 4)
-        data = build_transform(m)
-        rng = np.random.default_rng(0)
-        u = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        lhs, rhs = apply_lhs(m, data, u), apply_rhs(data, u)
-        assert lhs.shape == rhs.shape == (3, data.measure.n_atoms)
-        for row, l_row, r_row in zip(u, lhs, rhs):
-            assert np.allclose(l_row, apply_lhs(m, data, row), rtol=1e-12, atol=1e-12)
-            assert np.allclose(r_row, apply_rhs(data, row), rtol=1e-12, atol=1e-12)
-
-    def test_stack_rejects_bad_rows(self, chain_data):
-        u = np.eye(2, dtype=complex)
-        u[1, 0] = np.nan
-        with pytest.raises(InputError, match="non-finite"):
-            apply_lhs(CHAIN2, chain_data, u)
-        with pytest.raises(InputError, match="non-finite"):
-            apply_rhs(chain_data, u)
-        with pytest.raises(InputError):
-            apply_rhs(chain_data, np.zeros((2, 3)))
-        with pytest.raises(InputError):
-            apply_rhs(chain_data, np.zeros((1, 2, 2)))
-
-
 class TestVerifySimilarity:
     def test_chain_residuals_tiny(self, chain_data):
         report = verify_similarity(CHAIN2, chain_data)
@@ -217,6 +149,41 @@ class TestVerifySimilarity:
             data = build_transform(m)
             report = verify_similarity(m, data)
             assert report.max_residual <= 1e-8
+
+    def test_chain_top_vector(self, chain_data):
+        # z p_1 - (z^2 - 1) = 1 = a_0 p_0 at every atom: A u_1 = u_0
+        assert verify_similarity(CHAIN2, chain_data).residuals[1] < 1e-12
+
+    def test_top_vector_recurrence_rearrangement(self):
+        # z p_{d-1} - a_{d-1} p_d = a_{d-2} p_{d-2} + b_{d-1} p_{d-1}
+        m = random_class_matrix(32, 4)
+        assert verify_similarity(m, build_transform(m)).residuals[3] < 1e-10
+
+    def test_rank_one_locality(self):
+        # the rank-one term lives on the top basis vector only: dropping it
+        # moves residuals[d-1] and leaves the others bit-identical
+        m = random_class_matrix(31, 5)
+        data = build_transform(m)
+        full = verify_similarity(m, data).residuals
+        dropped = verify_similarity(m, dataclasses.replace(data, rank_one_scale=0)).residuals
+        assert np.array_equal(dropped[:4], full[:4])
+        assert full[4] < 1e-10 < dropped[4]
+
+    def test_mismatched_matrix_fails_through_residuals(self):
+        # the left side reads the caller's bands, not the ones data was built from
+        m = random_class_matrix(36, 4)
+        data = build_transform(m)
+        off = m.offdiag.copy()
+        off[-1] *= 1 + 1e-4
+        report = verify_similarity(TridiagonalSymmetric(m.diag, off), data)
+        assert not report.passed
+        assert report.orthonormality <= 1e-8
+        assert report.residuals[2] > 1e-8 and report.residuals[3] > 1e-8
+        assert np.max(report.residuals[:2]) <= 1e-8
+
+    def test_rejects_dimension_mismatch(self, chain_data):
+        with pytest.raises(InputError, match="dimension"):
+            verify_similarity(random_class_matrix(33, 3), chain_data)
 
     def test_corrupted_mass_fails(self, chain_data):
         masses = chain_data.measure.masses.copy()
