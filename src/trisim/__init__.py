@@ -9,9 +9,8 @@ from .core import (
     PreconditionError,
     ConsistencyError,
     TridiagonalSymmetric,
-    bilinear_moment,
+    bilinear_gram,
     gram_det,
-    inner_l2mu,
 )
 from .classify import (
     CanonicalForm,

@@ -121,16 +121,22 @@ def _krylov(a: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _require_cyclic(k: np.ndarray) -> float:
-    """sigma_min / sigma_max of the Krylov matrix k with each column scaled to
-    largest entry 1, as ||A^j x0|| grows like ||A||^j; raises if not cyclic."""
+def _scaled_columns(k: np.ndarray, power: str = "A") -> np.ndarray:
+    """Krylov columns k scaled to largest entry 1, as ||A^j x0|| grows like
+    ||A||^j; a zero column stays zero.  Raises if some column overflowed."""
     scales = np.abs(k).max(axis=0)
     if not np.isfinite(scales).all():
         j = int(np.argmin(np.isfinite(scales)))
-        raise PreconditionError(f"float64 range exhausted at Krylov order {j}: A^{j} x0 overflows")
+        raise PreconditionError(f"float64 range exhausted at Krylov order {j}: {power}^{j} x0 overflows")
+    return k / np.where(scales > 0, scales, 1.0)
+
+
+def _require_cyclic(k: np.ndarray) -> float:
+    """sigma_min / sigma_max of the column-scaled Krylov matrix k; raises if
+    x0 is not cyclic."""
     ratio = 0.0
-    if scales.all():
-        sv = np.linalg.svd(k / scales, compute_uv=False)
+    if k.any(axis=0).all():
+        sv = np.linalg.svd(k, compute_uv=False)
         ratio = float(sv[-1] / sv[0])
     if ratio <= CYCLIC_RANK_TOL:
         raise PreconditionError(
@@ -144,7 +150,7 @@ def check_cyclic(a, x0) -> float:
     """sigma_min / sigma_max of the column-scaled Krylov matrix; raises if not cyclic."""
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
-    return _require_cyclic(_krylov(a, x0, a.shape[0]))
+    return _require_cyclic(_scaled_columns(_krylov(a, x0, a.shape[0])))
 
 
 def gram_condition_check(
@@ -152,12 +158,12 @@ def gram_condition_check(
 ) -> GramReport:
     """Gram determinants Gamma(x0, A x0, ..., A^n x0, (A^*)^n x0), n = 1..d-1.
 
-    All of them vanishing (relative to the Hadamard scale of the vectors) is
-    the membership condition, given that J fixes x0 and x0 is cyclic; both
-    hypotheses are checked first.  Gamma_n is the principal minor on the
-    indices 0..n and d-1+n of one Gram matrix of the columns
-    [K | (A^*)^1 x0 ... (A^*)^{d-1} x0], K the Krylov matrix; its scale is
-    the product of that block's diagonal.
+    All of them vanishing is the membership condition, given that J fixes
+    x0 and x0 is cyclic; both hypotheses are checked first.  Each vector is
+    scaled to unit norm, so Gamma_n is the raw determinant relative to the
+    product of the squared norms, independent of the scale of x0.  Gamma_n
+    is the principal minor on the indices 0..n and d-1+n of one Gram matrix
+    of the columns [K | (A^*)^1 x0 ... (A^*)^{d-1} x0], K the Krylov matrix.
     """
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
@@ -169,20 +175,20 @@ def gram_condition_check(
         raise PreconditionError(
             f"J x0 != x0 (residual {jx_res:.3e}); the criterion needs a fixed vector"
         )
-    k = _krylov(a, x0, d)
+    k = _scaled_columns(_krylov(a, x0, d))
     _require_cyclic(k)
 
-    v = np.hstack((k, _krylov(a.conj().T, x0, d)[:, 1:]))
+    v = np.hstack((k, _scaled_columns(_krylov(a.conj().T, x0, d), "(A^*)")[:, 1:]))
+    # every column has largest entry 1 here, so no squared norm can overflow
+    norms = np.linalg.norm(v, axis=0)
+    v /= np.where(norms > 0, norms, 1.0)
     # entry (p, q) is (y_p, y_q), second slot conjugated, as in core.gram_det
     gram = v.T @ v.conj()
-    sq_norms = gram.diagonal().real
     values: list[tuple[int, complex]] = []
-    scales: list[float] = []
     for n in range(1, d):
         idx = np.array([*range(n + 1), d - 1 + n])
         values.append((n, complex(np.linalg.det(gram[idx[:, None], idx]))))
-        scales.append(float(np.prod(sq_norms[idx])))
-    return GramReport(values=values, scales=scales, tol=tol)
+    return GramReport(values=values, tol=tol)
 
 
 def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> CanonicalForm:

@@ -94,8 +94,7 @@ def cmd_classify(args) -> int:
             gr = gram_condition_check(dense, x0, conj, args.tol)
             report["gram_condition"] = gr.passed
             report["gram_determinants"] = [
-                {"n": n, "gamma": complex_to_json(g), "scale": s}
-                for (n, g), s in zip(gr.values, gr.scales)
+                {"n": n, "gamma": complex_to_json(g)} for n, g in gr.values
             ]
             # with (J, x0) supplied the verdict is the two-sided criterion,
             # not the basis-dependent tridiagonal test
@@ -241,7 +240,12 @@ def main(argv=None) -> int:
         print("error: --input is required", file=sys.stderr)
         return EXIT_MALFORMED
     try:
-        return args.handler(args)
+        # an overflow no check of its own catches exits 3, not inf or nan
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
+    except FloatingPointError as e:
+        print(f"precondition violated: float64 range exhausted ({e})", file=sys.stderr)
+        return EXIT_PRECONDITION
     except PreconditionError as e:
         print(f"precondition violated: {e}", file=sys.stderr)
         return EXIT_PRECONDITION

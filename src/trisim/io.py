@@ -86,7 +86,7 @@ def measure_to_json(mu: AtomicMeasure) -> dict:
 
 
 def measure_from_json(obj: dict) -> AtomicMeasure:
-    if not isinstance(obj, dict) or "atoms" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
         raise InputError("measure object must carry an 'atoms' list")
     atoms = []
     masses = []

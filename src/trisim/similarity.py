@@ -20,6 +20,7 @@ from .core import (
     ConsistencyError,
     InputError,
     TridiagonalSymmetric,
+    bilinear_gram,
 )
 from .moments import (
     RadiusSchedule,
@@ -152,11 +153,7 @@ def orthonormality_residuals(
     magnitude entering that sum; far-out rings make the absolute terms
     huge, so the zero test must be relative.
     """
-    p = poly_at_atoms[: n_max + 1]
-    w = mu.masses
-    gram = (p * w) @ p.T
-    ap = np.abs(p)
-    scales = (ap * w) @ ap.T
+    gram, scales = bilinear_gram(poly_at_atoms[: n_max + 1], mu)
     return np.abs(gram - np.eye(n_max + 1)) / np.maximum(1.0, scales)
 
 

@@ -22,6 +22,10 @@ from trisim.moments import spectral_moments
 CHAIN2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+def relative_gram_det(vecs):
+    return gram_det(vecs) / np.prod([np.vdot(v, v).real for v in vecs])
+
+
 def e0(d):
     v = np.zeros(d, dtype=complex)
     v[0] = 1.0
@@ -120,16 +124,16 @@ class TestGramCondition:
         a = np.array([[1, 1, 0], [0, 2, 1], [0, 0, 3]], dtype=complex)
         x0 = np.array([1, 2, 3], dtype=complex) / np.sqrt(14)
         report = gram_condition_check(a, x0, ConjugationMap.standard(3))
-        # brute-force oracle: the 3x3 Gram determinant computed directly
-        expected = gram_det([x0, a @ x0, a.conj().T @ x0])
-        assert abs(expected) > 1e-3
+        # brute-force oracle: the 3x3 Gram determinant of the unit vectors
+        expected = relative_gram_det([x0, a @ x0, a.conj().T @ x0])
+        assert abs(expected) > 1e-4
         assert not report.passed
         assert report.values[0][1] == pytest.approx(expected)
 
     @pytest.mark.parametrize("d", [3, 6])
     def test_every_gamma_matches_oracle(self, d):
-        # each Gamma_n and its scale against gram_det and the product of
-        # squared norms of the n + 2 vectors, built one by one
+        # each Gamma_n against gram_det over the product of squared norms
+        # of the n + 2 vectors, built one by one
         rng = np.random.default_rng(d)
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x0 = rng.normal(size=d) + 0j
@@ -137,20 +141,43 @@ class TestGramCondition:
         assert [n for n, _ in report.values] == list(range(1, d))
         xs = [x0]
         xstar = x0
-        for (n, g), scale in zip(report.values, report.scales):
+        for n, g in report.values:
             xs.append(a @ xs[-1])
             xstar = a.conj().T @ xstar
-            vecs = xs + [xstar]
-            assert scale == pytest.approx(np.prod([np.vdot(v, v).real for v in vecs]))
-            assert abs(g - gram_det(vecs)) <= 1e-12 * scale
-        assert abs(report.values[0][1]) > 1e-3 * report.scales[0]
+            assert abs(g - relative_gram_det(xs + [xstar])) <= 1e-12
+        assert abs(report.values[0][1]) > 1e-3
+        assert report.max_relative() == max(abs(g) for _, g in report.values)
         assert not report.passed
 
     def test_gamma_at_top_index_is_trivially_zero(self):
         # n = d-1 involves d+1 vectors, which are always dependent
         m = random_class_matrix(11, 3)
         report = gram_condition_check(m.dense(), e0(3), ConjugationMap.standard(3))
-        assert abs(report.values[-1][1]) < 1e-9 * report.scales[-1]
+        assert abs(report.values[-1][1]) < 1e-9
+
+    def test_large_dimension_without_overflow(self):
+        # at d = 32 the product of squared Krylov norms overflowed, and every
+        # Gamma_n passed against an infinite scale; an off-band entry breaks
+        # the condition and must still fail
+        a = random_class_matrix(0, 32).dense()
+        assert gram_condition_check(a, e0(32), ConjugationMap.standard(32)).passed
+        a[0, 5] = a[5, 0] = 0.3
+        report = gram_condition_check(a, e0(32), ConjugationMap.standard(32))
+        assert report.max_relative() > 1e-2 and not report.passed
+
+    def test_zero_adjoint_power(self):
+        # A^* e_2 = 0 while e_2 is cyclic for the shift: a zero column has
+        # no direction, and the Gammas it enters vanish
+        a = np.diag(np.ones(2), 1).astype(complex)
+        x0 = np.array([0, 0, 1], dtype=complex)
+        report = gram_condition_check(a, x0, ConjugationMap.standard(3))
+        assert [g for _, g in report.values] == [0, 0]
+
+    def test_overflowing_adjoint_power(self):
+        # x0, A x0, A^2 x0 are e_0, e_1, 1e300 e_2; (A^*)^2 x0 is 1e600 e_1
+        a = np.array([[0, 0, 1e300], [1, 0, 0], [0, 1e300, 0]], dtype=complex)
+        with pytest.raises(PreconditionError, match=r"order 2: \(A\^\*\)\^2 x0 overflows"):
+            gram_condition_check(a, e0(3), ConjugationMap.standard(3))
 
     def test_x0_not_fixed_by_j(self):
         with pytest.raises(PreconditionError, match="x0"):

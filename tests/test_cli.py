@@ -1,11 +1,15 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trisim
 from trisim import cli
@@ -33,6 +37,15 @@ def run_fresh(*argv):
     return subprocess.run(
         [sys.executable, "-m", "trisim.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict JSON parsers do."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def chain_file(tmp_path):
@@ -105,6 +118,36 @@ class TestClassify:
         assert report["gram_condition"] is True
         assert len(report["gram_determinants"]) == 1
 
+    @pytest.mark.parametrize("scale", [1.0, 0.01])
+    def test_gram_condition_ignores_x0_scale(self, tmp_path, capsys, scale):
+        # a dense complex symmetric non-member: C = I makes it J-symmetric,
+        # and only the Gram condition rejects it, at any scale of x0
+        rng = np.random.default_rng(1)
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        op = io.dense_to_json(b + b.T)
+        op["C"] = io.dense_to_json(np.eye(4))["rows"]
+        op["x0"] = [[scale, 0.0]] + [[0.0, 0.0]] * 3
+        p = write(tmp_path, "op.json", op)
+        assert main(["classify", "--input", p]) == 1
+        report = strict_json(capsys.readouterr().out)
+        assert report["j_symmetric"] is True and report["gram_condition"] is False
+        assert report["gram_determinants"][0]["gamma"][0] == pytest.approx(0.82389, abs=1e-5)
+        assert all(set(g) == {"n", "gamma"} for g in report["gram_determinants"])
+        assert main(["canonicalize", "--input", p]) == 3
+        assert "Gram-determinant condition fails" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "canonicalize"])
+    def test_huge_krylov_norms_give_strict_json(self, tmp_path, capsys, command):
+        # every Krylov vector is finite, but ||A^2 e0||^2 = 1e400
+        a = np.diag(np.full(2, 1e100), 1)
+        op = io.dense_to_json(a + a.T)
+        op["C"] = io.dense_to_json(np.eye(3))["rows"]
+        op["x0"] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        assert main([command, "--input", write(tmp_path, "op.json", op)]) == 0
+        out = strict_json(capsys.readouterr().out)
+        if command == "classify":
+            assert out["gram_condition"] is True
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text("{nope")
@@ -120,6 +163,9 @@ class TestClassify:
             "moments": {"s": [[1, 0], [0, 0]]},
         }
         assert main(["verify", "--input", write(tmp_path, "v.json", bad_mass)]) == 2
+        for atoms in (5, None, "z", {"z": [0, 0], "mass": 1}):
+            bad_atoms = {"measure": {"atoms": atoms}, "moments": {"s": [[1, 0], [0, 0]]}}
+            assert main(["verify", "--input", write(tmp_path, "v.json", bad_atoms)]) == 2
         ragged = {"kind": "dense", "rows": [[[1, 0], [0, 0]], [[0, 0]]]}
         assert main(["classify", "--input", write(tmp_path, "r.json", ragged)]) == 2
 
@@ -418,3 +464,86 @@ class TestCanonicalizeCommand:
             {"kind": "dense", "rows": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
         )
         assert main(["canonicalize", "--input", p]) == 2
+
+
+# JSON-like documents: junk of every type, and documents shaped like each
+# input format with junk, out-of-range or non-finite values in any field
+KEYS = ["kind", "diag", "offdiag", "rows", "C", "x0", "s", "rho", "measure", "moments", "atoms", "z", "mass"]
+NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(),  # json.dump writes nan and inf as NaN and Infinity, which json.load reads
+    st.sampled_from([1e-300, 1e100, 1e200, 1.7e308]).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+PAIR = st.lists(NUMBERS, min_size=2, max_size=2)
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=2), NUMBERS, PAIR),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(KEYS), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+VECTOR = st.one_of(st.lists(PAIR, min_size=1, max_size=4), JUNK)
+MATRIX = st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(PAIR, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    JUNK,
+)
+OPERATOR = st.fixed_dictionaries(
+    {"kind": st.one_of(st.sampled_from(["tridiagonal", "dense"]), JUNK)},
+    optional={"diag": VECTOR, "offdiag": VECTOR, "rows": MATRIX, "C": MATRIX, "x0": VECTOR},
+)
+MOMENTS = st.fixed_dictionaries({}, optional={"rho": st.one_of(st.integers(-1, 5), JUNK), "s": VECTOR})
+ATOM = st.fixed_dictionaries({}, optional={"z": st.one_of(PAIR, JUNK), "mass": st.one_of(NUMBERS, JUNK)})
+MEASURE = st.fixed_dictionaries({}, optional={"atoms": st.one_of(st.lists(ATOM, max_size=4), JUNK)})
+DOCUMENT = st.one_of(
+    OPERATOR,
+    MOMENTS,
+    st.fixed_dictionaries(
+        {}, optional={"measure": st.one_of(MEASURE, JUNK), "moments": st.one_of(MOMENTS, JUNK)}
+    ),
+    JUNK,
+)
+
+
+class TestFuzz:
+    @given(
+        doc=DOCUMENT,
+        command=st.sampled_from(
+            ["verify", "solve", "classify", "similarity", "canonicalize", "moments"]
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    # failures found by this test, each once a traceback or a RuntimeWarning
+    @example(doc={"measure": {"atoms": 5}, "moments": {"s": [[1, 0], [0, 0]]}}, command="verify")
+    @example(
+        doc={
+            "kind": "dense",
+            "rows": [[[1, 0], [1, 0]], [[1, 0], [0, 0]]],
+            "C": [[[1, 1e300], [0, 0]], [[0, 0], [1, 0]]],
+            "x0": [[1, 0], [0, 0]],
+        },
+        command="classify",
+    )
+    @example(
+        doc={
+            "kind": "dense",
+            "rows": [[[1, 0], [1, 0]], [[1, 0], [0, 0]]],
+            "C": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            "x0": [[1.7e308, 0], [0, 0]],
+        },
+        command="classify",
+    )
+    @example(
+        doc={"kind": "dense", "rows": [[[0, 0], [1.7e308, 0]], [[-1.7e308, 0], [0, 0]]]},
+        command="similarity",
+    )
+    def test_any_document_gets_an_exit_code(self, tmp_path_factory, doc, command):
+        # no exception escapes cli.main, RuntimeWarnings included (they are
+        # errors under the pytest configuration)
+        workdir = tmp_path_factory.mktemp("fuzz")
+        path = workdir / "in.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+            code = main([command, "--input", str(path), "--output", str(workdir / "out.json")])
+        assert code in (0, 1, 2, 3, 4)

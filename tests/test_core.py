@@ -11,14 +11,13 @@ from trisim.core import (
     ConjugationMap,
     InputError,
     TridiagonalSymmetric,
-    bilinear_moment,
+    bilinear_gram,
     complex_from_json,
     cmatrix_to_json,
     complex_to_json,
     cvector_from_json,
     cvector_to_json,
     gram_det,
-    inner_l2mu,
 )
 
 
@@ -85,27 +84,39 @@ def unit_atom():
 class TestPairings:
     def test_inner_normalization(self):
         mu = AtomicMeasure(np.array([0.3 + 0.1j]), np.array([1.0]))
-        assert inner_l2mu(np.ones(1), np.ones(1), mu) == pytest.approx(1)
+        gram, _ = bilinear_gram(np.ones((1, 1)), mu)
+        assert gram[0, 0] == pytest.approx(1)
 
     def test_inner_single_atom_first_moment(self, unit_atom):
         # integral of z against the atom (2+2i, 1/2) is 1+i
         z = unit_atom.atoms
-        assert inner_l2mu(z, np.ones(1), unit_atom) == pytest.approx(1 + 1j)
+        gram, _ = bilinear_gram([z, np.ones(1)], unit_atom)
+        assert gram[0, 1] == pytest.approx(1 + 1j)
 
     def test_inner_quadratic(self, unit_atom):
+        # the L^2(mu) product is the entry of the conjugated stack
         z = unit_atom.atoms
-        got = inner_l2mu(z, z, unit_atom)
-        assert got == pytest.approx(0.5 * abs(2 + 2j) ** 2)
+        gram, _ = bilinear_gram([z, np.conj(z)], unit_atom)
+        assert gram[0, 1] == pytest.approx(0.5 * abs(2 + 2j) ** 2)
 
     def test_bilinear_vs_sesquilinear_at_i(self):
         mu = AtomicMeasure(np.array([1j]), np.array([1.0]))
         z = mu.atoms
-        assert bilinear_moment(z, z, mu) == pytest.approx(-1)
-        assert inner_l2mu(z, z, mu) == pytest.approx(1)
+        gram, _ = bilinear_gram([z, np.conj(z)], mu)
+        assert gram[0, 0] == pytest.approx(-1)
+        assert gram[0, 1] == pytest.approx(1)
 
     def test_accepts_value_arrays(self, unit_atom):
+        # a list of per-atom arrays and a 2-d array are the same stack
         vals = unit_atom.atoms
-        assert bilinear_moment(vals, np.ones(1), unit_atom) == pytest.approx(1 + 1j)
+        for stack in ([vals, np.ones(1)], np.array([vals, np.ones(1)])):
+            gram, _ = bilinear_gram(stack, unit_atom)
+            assert gram[0, 1] == pytest.approx(1 + 1j)
+
+    def test_rejects_shape_mismatch(self, unit_atom):
+        for values in (np.ones(1), np.ones((2, 2)), np.ones((1, 1, 1))):
+            with pytest.raises(InputError, match="one column per atom"):
+                bilinear_gram(values, unit_atom)
 
     @given(
         fs=st.lists(finite_complex, min_size=3, max_size=3),
@@ -113,14 +124,19 @@ class TestPairings:
     )
     @settings(max_examples=50)
     def test_symmetry_laws(self, fs, gs):
+        # a BLAS Gram is not bitwise symmetric, and |g|^2 is not bitwise
+        # |g^2|, so the laws hold to a few ulps of the magnitudes entering
+        # each entry
         mu = AtomicMeasure(np.array([0.0, 1.0, 1j]), np.array([0.5, 0.25, 0.25]))
         f = np.array(fs)
         g = np.array(gs)
-        assert bilinear_moment(f, g, mu) == bilinear_moment(g, f, mu)
-        assert inner_l2mu(f, g, mu) == np.conj(inner_l2mu(g, f, mu))
-        quad = inner_l2mu(f, f, mu)
-        assert quad.imag == pytest.approx(0, abs=1e-12)
-        assert quad.real >= -1e-12
+        gram, scales = bilinear_gram([f, g], mu)
+        assert np.all(np.abs(gram - gram.T) <= 1e-15 * scales)
+        assert np.all(np.abs(gram) <= (1 + 1e-15) * scales)
+        sesq, sesq_scales = bilinear_gram([f, np.conj(f)], mu)
+        quad = sesq[0, 1]
+        assert abs(quad.imag) <= 1e-15 * sesq_scales[0, 1]
+        assert quad.real >= -1e-15 * sesq_scales[0, 1]
 
 
 class TestDomainTypes:
