@@ -5,9 +5,9 @@ turns it into a complex symmetric tridiagonal matrix with nonzero
 sub-diagonal.  The characterization is two-sided: the Gram-determinant
 condition on the Krylov vectors is necessary and sufficient (given a
 conjugation fixing the cyclic vector), and the sufficiency proof is
-constructive -- Gram-Schmidt plus a phase fix.  ``canonicalize`` is that
-construction, with Gram-Schmidt done as a QR of the Krylov matrix whose R
-has a real positive diagonal.
+constructive -- Gram-Schmidt plus a phase fix.  One QR of the Krylov
+matrix, diag(R) real and positive, serves both: the Gram determinants are
+read off Q and R, and ``canonicalize`` rotates Q into the canonical basis.
 """
 
 from __future__ import annotations
@@ -76,24 +76,23 @@ def is_class_matrix(
     d = a.shape[0]
     if d < 2:
         raise InputError("dimension must be at least 2")
-    norm = float(np.max(np.abs(a)))
-    thresh = eps * max(1.0, norm)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    unit = a / scale  # no difference of entries near the float64 limit overflows
 
-    band_mask = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) > 1
-    off_band = float(np.max(np.abs(a[band_mask]))) if band_mask.any() else 0.0
-    if off_band > thresh:
-        return False, None, f"not tridiagonal: off-band entry of magnitude {off_band:.3e}"
+    off_band = float(np.max(np.abs(np.triu(unit, 2) + np.tril(unit, -2))))
+    if off_band > eps:
+        return False, None, f"not tridiagonal: off-band entry of magnitude {off_band * scale:.3e}"
 
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > thresh:
-        return False, None, f"not complex symmetric: max |m[k,l] - m[l,k]| = {asym:.3e}"
+    asym = float(np.max(np.abs(unit - unit.T)))
+    if asym > eps:
+        return False, None, f"not complex symmetric: max |m[k,l] - m[l,k]| = {asym * scale:.3e}"
 
     sub = np.diagonal(a, 1)
-    reason = _vanishing_subdiagonal(sub, thresh)
+    reason = _vanishing_subdiagonal(sub, eps * scale)
     if reason is not None:
         return False, None, reason
 
-    sym_off = 0.5 * (sub + np.diagonal(a, -1))
+    sym_off = 0.5 * sub + 0.5 * np.diagonal(a, -1)
     return True, TridiagonalSymmetric(np.diagonal(a).copy(), sym_off), "ok"
 
 
@@ -153,23 +152,23 @@ def check_cyclic(a, x0) -> float:
     return _require_cyclic(_scaled_columns(_krylov(a, x0, a.shape[0])))
 
 
-def gram_condition_check(
-    a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL
-) -> GramReport:
-    """Gram determinants Gamma(x0, A x0, ..., A^n x0, (A^*)^n x0), n = 1..d-1.
+def _krylov_qr(
+    a: np.ndarray, x0: np.ndarray, j: ConjugationMap, tol: float
+) -> tuple[np.ndarray, GramReport]:
+    """Q of the unit Krylov matrix K = QR, diag(R) real and positive, and
+    the Gram report read off it, for x0 scaled to largest entry in [1, 2).
 
-    All of them vanishing is the membership condition, given that J fixes
-    x0 and x0 is cyclic; both hypotheses are checked first.  Each vector is
-    scaled to unit norm, so Gamma_n is the raw determinant relative to the
-    product of the squared norms, independent of the scale of x0.  Gamma_n
-    is the principal minor on the indices 0..n and d-1+n of one Gram matrix
-    of the columns [K | (A^*)^1 x0 ... (A^*)^{d-1} x0], K the Krylov matrix.
+    With y_n the unit (A^*)^n x0, Gamma_n = prod_{i<=n} r_ii^2 *
+    sum_{i>n} |(Q^H y_n)_i|^2: the Gram determinant of k_0..k_n times the
+    squared distance of y_n from their span, in [0, 1], and exactly 0 at
+    n = d - 1 (d + 1 vectors in C^d).
     """
-    a = as_complex_matrix(a, "A")
-    x0 = as_complex_vector(x0, "x0")
     d = a.shape[0]
     if len(x0) != d or j.dim != d:
         raise InputError("dimension mismatch between A, x0 and J")
+    # a power of two scales exactly, so no digit of x0 is lost; a zero x0 stays zero
+    e = 1 - np.frexp(np.max(np.abs(x0)))[1]
+    x0 = np.ldexp(x0.real, e) + 1j * np.ldexp(x0.imag, e)
     jx_res = float(np.linalg.norm(j.apply(x0) - x0))
     if not rel_zero(jx_res, float(np.linalg.norm(x0)), tol):
         raise PreconditionError(
@@ -177,18 +176,29 @@ def gram_condition_check(
         )
     k = _scaled_columns(_krylov(a, x0, d))
     _require_cyclic(k)
+    y = _scaled_columns(_krylov(a.conj().T, x0, d), "(A^*)")[:, 1:]
 
-    v = np.hstack((k, _scaled_columns(_krylov(a.conj().T, x0, d), "(A^*)")[:, 1:]))
-    # every column has largest entry 1 here, so no squared norm can overflow
-    norms = np.linalg.norm(v, axis=0)
-    v /= np.where(norms > 0, norms, 1.0)
-    # entry (p, q) is (y_p, y_q), second slot conjugated, as in core.gram_det
-    gram = v.T @ v.conj()
-    values: list[tuple[int, complex]] = []
-    for n in range(1, d):
-        idx = np.array([*range(n + 1), d - 1 + n])
-        values.append((n, complex(np.linalg.det(gram[idx[:, None], idx]))))
-    return GramReport(values=values, tol=tol)
+    # columns have largest entry 1, so no norm overflows; x0 is cyclic, so no r_ii is 0
+    q, r = np.linalg.qr(k / np.linalg.norm(k, axis=0))
+    r_diag = np.diagonal(r)
+    q *= r_diag / np.abs(r_diag)
+    y_norms = np.linalg.norm(y, axis=0)
+    y /= np.where(y_norms > 0, y_norms, 1.0)
+    # column n - 1 sums |(Q^H y_n)_l|^2 over l > n
+    dist = np.tril(np.abs(q.conj().T @ y) ** 2, -2).sum(axis=0)
+    gammas = np.cumprod(np.abs(r_diag) ** 2)[1:] * dist
+    return q, GramReport(values=[(n, complex(g)) for n, g in enumerate(gammas, 1)], tol=tol)
+
+
+def gram_condition_check(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> GramReport:
+    """Gram determinants Gamma(x0, A x0, ..., A^n x0, (A^*)^n x0), n = 1..d-1.
+
+    All of them vanishing is the membership condition, given that J fixes
+    x0 and x0 is cyclic; both hypotheses are checked first.  Gamma_n is
+    read off the QR that ``canonicalize`` takes its basis from, with x0
+    scaled to largest entry in [1, 2), so it does not depend on the scale of x0.
+    """
+    return _krylov_qr(as_complex_matrix(a, "A"), as_complex_vector(x0, "x0"), j, tol)[1]
 
 
 def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> CanonicalForm:
@@ -204,22 +214,17 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     """
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
-    d = a.shape[0]
 
     res = verify_j_symmetric(a, j, tol)
     scale_a = float(np.max(np.abs(a)))
     if not rel_zero(res, scale_a, tol):
         raise PreconditionError(f"A is not J-symmetric (residual {res:.3e})")
-    report = gram_condition_check(a, x0, j, tol)
+    g, report = _krylov_qr(a, x0, j, tol)
     if not report.passed:
         raise PreconditionError(
             "Gram-determinant condition fails "
             f"(max relative Gamma = {report.max_relative():.3e})"
         )
-
-    # x0 is cyclic (checked above), so no |r_ii| vanishes
-    q, upper = np.linalg.qr(_krylov(a, x0, d))
-    g = q * (np.diagonal(upper) / np.abs(np.diagonal(upper)))
 
     jg = j.apply(g)
     beta = np.sum(jg * np.conj(g), axis=0)

@@ -67,20 +67,13 @@ def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
             raise InputError(f"cannot divide by a_{k} = 0 in the recurrence")
     table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
     table[0, 0] = 1.0
-    if n_max == 0:
-        return PolynomialFamily(table)
-    prev = np.zeros(n_max + 1, dtype=np.complex128)  # p_{-1} = 0
-    cur = table[0].copy()
     for n in range(n_max):
-        a_n = ext.offdiag[n]
-        a_prev = ext.offdiag[n - 1] if n > 0 else 0.0
-        nxt = np.roll(cur, 1)  # z * p_n (degree < n_max guarantees no wrap loss)
-        nxt[0] = 0.0
-        nxt -= ext.diag[n] * cur
-        nxt -= a_prev * prev
-        nxt /= a_n
-        table[n + 1] = nxt
-        prev, cur = cur, nxt
+        row = table[n + 1]
+        row[1:] = table[n, :-1]  # z * p_n; p_n has degree n < n_max
+        row -= ext.diag[n] * table[n]
+        if n > 0:
+            row -= ext.offdiag[n - 1] * table[n - 1]
+        row /= ext.offdiag[n]
     return PolynomialFamily(table)
 
 

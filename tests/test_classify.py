@@ -130,7 +130,7 @@ class TestGramCondition:
         assert not report.passed
         assert report.values[0][1] == pytest.approx(expected)
 
-    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("d", [3, 6, 12, 16])
     def test_every_gamma_matches_oracle(self, d):
         # each Gamma_n against gram_det over the product of squared norms
         # of the n + 2 vectors, built one by one
@@ -292,6 +292,22 @@ class TestCanonicalize:
             form = canonicalize(a, x0, j)
             assert abs(form.phases[0]) < 1e-12
             assert np.max(np.abs(form.basis[:, 0] - x0 / np.linalg.norm(x0))) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_scale_of_x0_is_immaterial(self, scale):
+        # Gamma and the canonical form see only the direction of x0; at
+        # 1e300 the norm of x0 in the J x0 = x0 test overflowed
+        a, x0, j = self.disguised(3, 6)
+        rng = np.random.default_rng(1)
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for op, v, conj in ((a, x0, j), (b + b.T, e0(4), ConjugationMap.standard(4))):
+            want = [g for _, g in gram_condition_check(op, v, conj).values]
+            got = [g for _, g in gram_condition_check(op, scale * v, conj).values]
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+        assert want[0].real > 0.5  # the non-member's Gamma_1 is far from 0
+        want = canonicalize(a, x0, j).matrix.dense()
+        got = canonicalize(a, scale * x0, j).matrix.dense()
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_tol_is_used(self):
         # a J-symmetry residual of 5e-9 relative lies between the tol and

@@ -118,6 +118,21 @@ class TestClassify:
         assert report["gram_condition"] is True
         assert len(report["gram_determinants"]) == 1
 
+    @pytest.mark.parametrize(
+        "lower, code, member",
+        [(-1.7e308, 1, False), (1.7e308, 0, True)],
+    )
+    def test_entries_near_float64_limit(self, tmp_path, capsys, lower, code, member):
+        # m - m^T and the off-diagonal average overflowed, and both exited 3
+        op = {"kind": "dense", "rows": [[[0, 0], [1.7e308, 0]], [[lower, 0], [0, 0]]]}
+        assert main(["classify", "--input", write(tmp_path, "op.json", op)]) == code
+        report = strict_json(capsys.readouterr().out)
+        assert report["class_matrix"] is member
+        if member:
+            assert report["extracted"]["offdiag"] == [[1.7e308, 0.0]]
+        else:
+            assert report["reason"].startswith("not complex symmetric")
+
     @pytest.mark.parametrize("scale", [1.0, 0.01])
     def test_gram_condition_ignores_x0_scale(self, tmp_path, capsys, scale):
         # a dense complex symmetric non-member: C = I makes it J-symmetric,
