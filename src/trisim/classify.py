@@ -50,28 +50,26 @@ def _vanishing_subdiagonal(sub: np.ndarray, thresh: float) -> str | None:
     return f"sub-diagonal entry a_{k} vanishes (|a_{k}| = {abs(sub[k]):.3e})"
 
 
-def _is_class_tridiagonal(m: TridiagonalSymmetric) -> tuple[bool, str]:
-    """``is_class_matrix(m.dense())`` on the bands, in O(d).
-
-    Returns ``(ok, reason)``.  A ``TridiagonalSymmetric`` is tridiagonal
-    and symmetric by construction, so only the sub-diagonal test remains,
-    with the default threshold DEFAULT_TOL * max(1, max|entry|).
-    """
-    norm = float(max(np.max(np.abs(m.diag)), np.max(np.abs(m.offdiag))))
-    reason = _vanishing_subdiagonal(m.offdiag, DEFAULT_TOL * max(1.0, norm))
-    return reason is None, reason or "ok"
-
-
 def is_class_matrix(
     m, eps: float = DEFAULT_TOL
 ) -> tuple[bool, TridiagonalSymmetric | None, str]:
-    """Check a dense matrix for membership in the admissible tridiagonal class.
+    """Check a matrix, dense or banded, for membership in the admissible class.
 
-    Returns ``(ok, extracted, reason)``.  Membership requires: entries more
-    than one off the diagonal vanish (relative to eps * max|entry|), the
-    matrix is symmetric (plain transpose, not Hermitian), and every
-    first-off-diagonal entry has magnitude above the same threshold.
+    Returns ``(ok, extracted, reason)``; ``extracted`` is None unless ok.
+    Membership requires: entries more than one off the diagonal vanish
+    (relative to eps * max(1, max|entry|)), the matrix is symmetric (plain
+    transpose, not Hermitian), and every first-off-diagonal entry has
+    magnitude above the same threshold.  A ``TridiagonalSymmetric`` is
+    tridiagonal and symmetric by construction, so only the sub-diagonal
+    test runs, in O(d), and ``extracted`` is ``m`` itself.
     """
+    if isinstance(m, TridiagonalSymmetric):
+        scale = max(1.0, float(np.max(np.abs(m.diag))), float(np.max(np.abs(m.offdiag))))
+        reason = _vanishing_subdiagonal(m.offdiag, eps * scale)
+        if reason is not None:
+            return False, None, reason
+        return True, m, "ok"
+
     a = as_complex_matrix(m)
     d = a.shape[0]
     if d < 2:
@@ -97,18 +95,20 @@ def is_class_matrix(
 
 
 def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
-    """Max-entry residual of J A J = A^*.
+    """Relative residual of J A J = A^*, to be compared with tol.
 
     The composition J A J is antilinear twice, hence linear, with matrix
-    C conj(A) conj(C); the residual against the Hermitian adjoint is
-    returned and the caller compares it to tol * ||A||.
+    C conj(A) conj(C).  The residual is max|C conj(U) conj(C) - U^H| for
+    U = A / max(1, max|A|), so it stays finite for entries near the
+    float64 limit.  ``j`` is checked first (unitary and symmetric C).
     """
     a = as_complex_matrix(a, "A")
     if a.shape[0] != j.dim:
         raise InputError("operator and conjugation dimensions differ")
     j.check(tol)
-    jaj = j.matrix @ np.conj(a) @ np.conj(j.matrix)
-    return float(np.max(np.abs(jaj - a.conj().T)))
+    u = a / max(1.0, float(np.max(np.abs(a))))
+    juj = j.matrix @ np.conj(u) @ np.conj(j.matrix)
+    return float(np.max(np.abs(juj - u.conj().T)))
 
 
 def _krylov(a: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
@@ -216,9 +216,8 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     x0 = as_complex_vector(x0, "x0")
 
     res = verify_j_symmetric(a, j, tol)
-    scale_a = float(np.max(np.abs(a)))
-    if not rel_zero(res, scale_a, tol):
-        raise PreconditionError(f"A is not J-symmetric (residual {res:.3e})")
+    if res > tol:
+        raise PreconditionError(f"A is not J-symmetric (relative residual {res:.3e})")
     g, report = _krylov_qr(a, x0, j, tol)
     if not report.passed:
         raise PreconditionError(

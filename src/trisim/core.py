@@ -32,7 +32,8 @@ class ConsistencyError(RuntimeError):
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
+    """A dense complex128 copy or view of m, an array or a ``TridiagonalSymmetric``."""
+    a = m.dense() if isinstance(m, TridiagonalSymmetric) else np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be a square 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -257,10 +258,6 @@ def cvector_from_json(v) -> np.ndarray:
     if not isinstance(v, (list, tuple)):
         raise InputError("expected a list of [re, im] pairs")
     return np.array([complex_from_json(z) for z in v], dtype=np.complex128)
-
-
-def cmatrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return cvector_to_json(m)
 
 
 def cmatrix_from_json(rows) -> np.ndarray:

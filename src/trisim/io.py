@@ -18,7 +18,6 @@ from .core import (
     InputError,
     TridiagonalSymmetric,
     cmatrix_from_json,
-    cmatrix_to_json,
     complex_from_json,
     cvector_from_json,
     cvector_to_json,
@@ -36,11 +35,12 @@ def operator_to_json(m: TridiagonalSymmetric) -> dict:
 
 
 def dense_to_json(a: np.ndarray) -> dict:
-    return {"d": a.shape[0], "kind": "dense", "rows": cmatrix_to_json(a)}
+    return {"d": a.shape[0], "kind": "dense", "rows": cvector_to_json(a)}
 
 
-def operator_from_json(obj: dict) -> tuple[str, object]:
-    """Returns ("tridiagonal", TridiagonalSymmetric) or ("dense", ndarray)."""
+def operator_from_json(obj: dict) -> TridiagonalSymmetric | np.ndarray:
+    """The operator of a "tridiagonal" document as its bands, of a "dense"
+    one as a square complex array; ``classify.is_class_matrix`` takes either."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("operator object must carry a 'kind' field")
     kind = obj["kind"]
@@ -50,7 +50,7 @@ def operator_from_json(obj: dict) -> tuple[str, object]:
             offdiag = cvector_from_json(obj["offdiag"])
         except KeyError as e:
             raise InputError(f"tridiagonal operator missing field {e}") from None
-        return kind, TridiagonalSymmetric(diag, offdiag)
+        return TridiagonalSymmetric(diag, offdiag)
     if kind == "dense":
         try:
             rows = cmatrix_from_json(obj["rows"])
@@ -60,7 +60,7 @@ def operator_from_json(obj: dict) -> tuple[str, object]:
             raise InputError("dense operator rows must form a square matrix")
         if rows.shape[0] < 2:
             raise InputError("dimension must be at least 2")
-        return kind, rows
+        return rows
     raise InputError(f"unknown operator kind {kind!r}")
 
 

@@ -26,7 +26,7 @@ from .core import (
     TridiagonalSymmetric,
     as_complex_vector,
 )
-from .classify import _is_class_tridiagonal
+from .classify import is_class_matrix
 
 # Margin keeping |ct| <= 1/2 - MASS_DELTA, which floors every ring mass
 # at 2 * MASS_DELTA * s0 / N.
@@ -89,7 +89,7 @@ def spectral_moments(
     recursion cannot reach the extra rows in rho steps.  Raises
     ``PreconditionError`` when some s_k overflows float64.
     """
-    ok, reason = _is_class_tridiagonal(m)
+    ok, _, reason = is_class_matrix(m)
     if not ok:
         raise InputError(f"not a class matrix: {reason}")
     if rho < 1:
@@ -287,7 +287,6 @@ def algorithm1(
             r_n = max(
                 admissible_radius(s0_step, c_n, n, schedule.delta),
                 schedule.gamma * r_prev,
-                1.0,
             )
             if not np.isfinite(r_n):  # |c_n| / ring mass overflowed to inf
                 raise OverflowError

@@ -1,8 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from trisim.classify import (
-    _is_class_tridiagonal,
     canonicalize,
     check_cyclic,
     gram_condition_check,
@@ -75,10 +76,19 @@ class TestIsClassMatrix:
         weak = random_class_matrix(7, 5)
         weak.offdiag[1] = 1e-12
         cases.append(weak)
-        for m in cases:
-            ok, _, reason = is_class_matrix(m.dense())
-            assert _is_class_tridiagonal(m) == (ok, reason)
-        assert "a_1 vanishes" in _is_class_tridiagonal(weak)[1]
+        # at eps 0.4 the threshold is 0.4 to 0.8, so some of the random
+        # |a_k| in [0.5, 2] vanish and some do not
+        for m, eps in itertools.product(cases, [1e-9, 0.4]):
+            ok, tri, reason = is_class_matrix(m, eps)
+            ok_dense, tri_dense, reason_dense = is_class_matrix(m.dense(), eps)
+            assert (ok, reason) == (ok_dense, reason_dense)
+            if ok:
+                assert tri is m
+                assert np.array_equal(tri_dense.diag, m.diag)
+                assert np.array_equal(tri_dense.offdiag, m.offdiag)
+            else:
+                assert tri is None and tri_dense is None
+        assert "a_1 vanishes" in is_class_matrix(weak)[2]
 
 
 class TestVerifyJSymmetric:
@@ -92,6 +102,13 @@ class TestVerifyJSymmetric:
     def test_nilpotent_jordan_block_fails(self):
         a = np.array([[0, 1], [0, 0]], dtype=complex)
         assert verify_j_symmetric(a, ConjugationMap.standard(2)) == pytest.approx(1)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, 1.7e308])
+    def test_residual_is_relative(self, scale):
+        # the residual of A / max(1, max|A|): a Jordan block scaled up reads
+        # the same as the block, and one scaled down reads less
+        a = scale * np.array([[0, 1], [0, 0]], dtype=complex)
+        assert verify_j_symmetric(a, ConjugationMap.standard(2)) == pytest.approx(min(1, scale))
 
     def test_invalid_conjugation_rejected(self):
         with pytest.raises(InputError):

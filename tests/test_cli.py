@@ -19,6 +19,7 @@ from trisim.core import (
     ConsistencyError,
     TridiagonalSymmetric,
     cvector_from_json,
+    cvector_to_json,
     random_class_matrix,
 )
 from trisim.moments import RadiusSchedule
@@ -132,6 +133,36 @@ class TestClassify:
             assert report["extracted"]["offdiag"] == [[1.7e308, 0.0]]
         else:
             assert report["reason"].startswith("not complex symmetric")
+
+    def test_j_symmetry_near_float64_limit(self, tmp_path, capsys):
+        # a class member that is not J-symmetric for C = Hadamard / sqrt(2);
+        # C conj(A) conj(C) of the raw entries would overflow
+        h = [[[2**-0.5, 0], [2**-0.5, 0]], [[2**-0.5, 0], [-(2**-0.5), 0]]]
+        op = {"kind": "dense", "rows": [[[1.7e308, 0]] * 2] * 2, "C": h}
+        assert main(["classify", "--input", write(tmp_path, "op.json", op)]) == 1
+        report = strict_json(capsys.readouterr().out)
+        assert report["class_matrix"] is True
+        assert report["j_symmetric"] is False
+        assert report["j_symmetry_residual"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "fields, code",
+        [((), 1), (("C",), 1), (("C", "x0"), 0), (("x0",), 1)],
+    )
+    def test_verdict_of_each_input_shape(self, tmp_path, capsys, fields, code):
+        # a unitarily disguised member: not tridiagonal, but J-symmetric for
+        # C = q q^T, and (J, x0) with x0 = q e0 pass the Gram criterion
+        m = random_class_matrix(31, 4).dense()
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        disguised = io.dense_to_json(q @ m @ q.conj().T)
+        extra = {"C": io.dense_to_json(q @ q.T)["rows"], "x0": cvector_to_json(q[:, 0])}
+        op = {**disguised, **{f: extra[f] for f in fields}}
+        assert main(["classify", "--input", write(tmp_path, "op.json", op)]) == code
+        report = strict_json(capsys.readouterr().out)
+        assert report["class_matrix"] is False
+        assert report.get("j_symmetric", True) is True
+        assert report.get("gram_condition", True) is True
 
     @pytest.mark.parametrize("scale", [1.0, 0.01])
     def test_gram_condition_ignores_x0_scale(self, tmp_path, capsys, scale):
@@ -250,6 +281,17 @@ class TestMomentsCommand:
         assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["moments", "similarity"])
+def test_dense_document_matches_tridiagonal(tmp_path, capsys, command):
+    # both documents go through the one class test and print the same bytes
+    m = random_class_matrix(17, 6)
+    outputs = []
+    for name, doc in [("tri", io.operator_to_json(m)), ("dense", io.dense_to_json(m.dense()))]:
+        assert main([command, "--input", write(tmp_path, name + ".json", doc)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 class TestSimilarityCommand:
     def test_chain_pipeline(self, tmp_path, capsys):
         out = tmp_path / "sim.json"
@@ -361,7 +403,7 @@ class TestRoundTrip:
         m = random_class_matrix(55, 4)
         obj = io.operator_to_json(m)
         text = json.dumps(obj)
-        _, again = io.operator_from_json(json.loads(text))
+        again = io.operator_from_json(json.loads(text))
         assert np.array_equal(again.diag, m.diag)
         assert np.array_equal(again.offdiag, m.offdiag)
 
@@ -389,7 +431,7 @@ class TestRoundTrip:
         assert text.endswith("\n") and text.count("\n") == 1
         result = json.loads(text)
 
-        _, tri = io.operator_from_json(io.load_json(str(op)))
+        tri = io.operator_from_json(io.load_json(str(op)))
         data = build_transform(tri, schedule=schedule)
         report = verify_similarity(tri, data)
         mu = io.measure_from_json(result["measure"])
@@ -447,7 +489,7 @@ class TestCanonicalizeCommand:
         )
         assert main(["canonicalize", "--input", p]) == 0
         result = json.loads(capsys.readouterr().out)
-        _, tri = io.operator_from_json(result["matrix"])
+        tri = io.operator_from_json(result["matrix"])
         assert isinstance(tri, TridiagonalSymmetric)
         assert len(result["phases"]) == 3
 

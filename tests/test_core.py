@@ -13,7 +13,6 @@ from trisim.core import (
     TridiagonalSymmetric,
     bilinear_gram,
     complex_from_json,
-    cmatrix_to_json,
     complex_to_json,
     cvector_from_json,
     cvector_to_json,
@@ -212,7 +211,7 @@ class TestComplexJson:
         cases = [
             (cvector_to_json(v), [complex_to_json(z) for z in v]),
             (cvector_to_json(v[:1]), [complex_to_json(v[0])]),
-            (cmatrix_to_json(m), [[complex_to_json(z) for z in row] for row in m]),
+            (cvector_to_json(m), [[complex_to_json(z) for z in row] for row in m]),
             (io.measure_to_json(mu), measure_ref(mu)),
             (io.measure_to_json(one), measure_ref(one)),
         ]
