@@ -40,7 +40,7 @@ from .classify import (
     is_class_matrix,
     verify_j_symmetric,
 )
-from .moments import MASS_DELTA, RADIUS_GROWTH, RadiusSchedule, algorithm1, solve_rho1
+from .moments import MASS_DELTA, RADIUS_RATIO, RadiusSchedule, algorithm1, solve_rho1
 from .moments import spectral_moments, verify_measure
 from .similarity import ORTHONORMALITY_TOL, build_transform, verify_similarity
 
@@ -49,6 +49,13 @@ EXIT_VERIFICATION = 1
 EXIT_MALFORMED = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+
+
+def _tol(text: str) -> float:
+    tol = float(text)
+    if not 0 <= tol < np.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return tol
 
 
 def _schedule(args) -> RadiusSchedule:
@@ -199,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "input": dict(help="input JSON file"),
         "output": dict(help="output JSON file (stdout if omitted)"),
-        "tol": dict(type=float, default=DEFAULT_TOL),
+        "tol": dict(type=_tol, default=DEFAULT_TOL),
         "rho": dict(type=int),
-        "gamma": dict(type=float, default=RADIUS_GROWTH),
+        "gamma": dict(type=float, default=RADIUS_RATIO),
         "delta": dict(type=float, default=MASS_DELTA),
         "seed": dict(type=int),
         "d": dict(type=int, default=2),

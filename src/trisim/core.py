@@ -53,8 +53,8 @@ def as_complex_vector(v, name: str = "vector") -> np.ndarray:
 def rel_zero(x: float, scale: float, tol: float = DEFAULT_TOL) -> bool:
     """Relative zero test: |x| <= tol * max(1, scale).
 
-    Absolute tests are useless here because the atom radii produced by
-    the measure construction grow geometrically; every "equals zero"
+    Absolute tests are useless here because powers of the circle radius
+    of the measure construction span many decades; every "equals zero"
     decision is made relative to the largest magnitude entering the
     computation.
     """

@@ -4,16 +4,20 @@ Two jobs live here.  First, extracting the power moments s_k of the
 bilinear spectral functional attached to a class matrix: extend the
 matrix down-right with zero diagonal and unit off-diagonal entries,
 truncate, and read s_k off the (0,0) entry of the plain (unconjugated)
-k-th power.  Second, building a finitely atomic measure with prescribed
-moments s_0..s_rho: a single atom handles (s_0, s_1), and each remaining
-moment is supplied by a ring of equally spaced atoms on a circle whose
-masses sample the density 1 + 2 Re(conj(ct) z^n).  With 2n+1 atoms the
-roots-of-unity sums kill every aliased term, so the prescribed moments of
-each ring hold exactly up to rounding.
+k-th power.  Second, building a finitely atomic positive measure with
+prescribed moments s_0..s_rho, 2 rho + 2 atoms in all: one atom carries
+half of s_0 and all of s_1, and one circle of N = 2 rho + 1 equally
+spaced atoms carries the other half and every remaining moment at once.
+The circle's masses sample the positive trigonometric density
+1 + 2 Re sum_n conj(ct_n) z^n (Caratheodory-Toeplitz).  With N atoms the
+roots-of-unity sums kill every aliased term, so each prescribed moment
+holds exactly up to rounding.  A gap problem (one nonzero moment) is the
+single-frequency case of the same circle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +32,12 @@ from .core import (
 )
 from .classify import is_class_matrix
 
-# Margin keeping |ct| <= 1/2 - MASS_DELTA, which floors every ring mass
-# at 2 * MASS_DELTA * s0 / N.
+# Margin keeping sum |ct_n| <= 1/2 - MASS_DELTA, which floors every circle
+# mass at 2 * MASS_DELTA * s0 / N.
 MASS_DELTA = 1e-3
-RADIUS_GROWTH = 1.5
+RADIUS_RATIO = 1.5  # default minimum of circle radius / |first atom|
+RADIUS_RTOL = 1e-3  # the circle radius is minimal to this relative accuracy
+_SECTION_POINTS = np.arange(1, 16) / 16  # where each step samples the radius bracket
 
 
 @dataclass
@@ -154,71 +160,38 @@ def admissible_radius(s0: float, c: complex, n: int, delta: float = MASS_DELTA) 
     return max(1.0, need * (1.0 + 1e-9))
 
 
-def _normalized_target(
-    s0: float, c: complex, n: int, r: float, delta: float
-) -> complex:
-    """ct = (c/s0)/r^n, checked against the mass margin |ct| <= 1/2 - delta."""
-    ct = (c / s0) / r**n
-    # delta = 0 admits the boundary |c~| = 1/2 (masses can still all be
-    # positive there, as the positivity check in _expand_rings decides);
-    # the default margin guarantees the mass floor 2*delta*s0/N
-    if abs(ct) > 0.5 - delta:
-        raise InputError(
-            f"|c~| = {abs(ct):.4f} exceeds {0.5 - delta}; "
-            f"choose a radius of at least {admissible_radius(s0, c, n, delta):.6g}"
-        )
+def _normalized_targets(s0: float, c: np.ndarray, r: float) -> np.ndarray:
+    """ct_n = (c_n / s0) / r^n for n = 0..len(c)-1, exactly 0 where c_n is."""
+    n = np.flatnonzero(c)
+    ct = np.zeros(len(c), dtype=np.complex128)
+    ct[n] = (c[n] / s0) / r**n
     return ct
 
 
-def _ring_moment(s0: float, r: float, n: int, ct: complex, k: int) -> complex:
-    """Order-k moment of the ring (r, n, ct) carrying mass s0, in closed form.
+def _circle(s0: float, r: float, ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and masses of the circle carrying mass s0 with targets ct_0..ct_rho.
 
-    Over the N = 2n+1 roots of unity only k = 0, n and -n (mod N) survive:
-    s0 * r^k * ([k = 0] + ct [k = n] + conj(ct) [k = -n]).
+    N = 2 rho + 1 atoms r w^j, w = exp(2 pi i / N), with masses
+    (s0/N) (1 + 2 Re sum_n conj(ct_n) w^(jn)), read off one FFT of ct
+    (ct_0 = ct_1 = 0).  Over the N-th roots of unity the order-k moment,
+    1 <= k <= rho, picks up only the frequency n = k, because
+    k + n <= 2 rho < N: it is s0 r^k ct_k.  Masses are positive whenever
+    sum |ct_n| < 1/2.
     """
-    j = k % (2 * n + 1)
-    if j == 0:
-        return s0 * r**k
-    if j == n:
-        return s0 * r**k * ct
-    if j == n + 1:
-        return s0 * r**k * ct.conjugate()
-    return 0j
-
-
-def _expand_rings(
-    s0: float, radii: np.ndarray, orders: np.ndarray, cts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and masses of the rings (radii[i], orders[i], cts[i]), in order.
-
-    Ring i has N = 2n+1 atoms r * exp(2 pi i j / N) with masses
-    (s0/N) * (1 + 2 Re(conj(ct) exp(2 pi i j n / N))), j = 0..N-1.
-    """
-    sizes = 2 * orders + 1
-    ring = np.repeat(np.arange(len(sizes)), sizes)
-    big_n = sizes[ring]
-    j = np.arange(len(ring)) - (np.cumsum(sizes) - sizes)[ring]
-    atoms = radii[ring] * np.exp(2j * np.pi * j / big_n)
-    masses = (s0 / big_n) * (
-        1.0
-        + 2.0 * np.real(np.conj(cts[ring]) * np.exp(2j * np.pi * j * orders[ring] / big_n))
-    )
+    big_n = 2 * len(ct) - 1
+    atoms = r * np.exp(2j * np.pi * np.arange(big_n) / big_n)
+    # Re sum_n ct_n w^(-jn) = Re sum_n conj(ct_n) w^(jn)
+    masses = (s0 / big_n) * (1.0 + 2.0 * np.fft.fft(ct, big_n).real)
     if not np.all(masses > 0):
-        raise ConsistencyError("non-positive ring mass despite the |c~| margin")
+        raise ConsistencyError("non-positive circle mass despite the |c~| margin")
     return atoms, masses
 
 
 def solve_gap_moments(
     s0: float, c: complex, n: int, r: float, delta: float = MASS_DELTA
 ) -> CircleSolution:
-    """Ring of 2n+1 atoms with moments (s0, 0, ..., 0, c) through order n.
-
-    Atoms sit at r * exp(2 pi i j / N), N = 2n+1, with masses
-    (s0/N) * (1 + 2 Re(conj(ct) exp(2 pi i j n / N))) for ct = (c/s0)/r^n.
-    N = 2n+1 is what prevents the z^n density term from aliasing into any
-    moment of order 1..n-1, so all n+1 prescribed moments are exact sums
-    over roots of unity.  Masses stay positive as long as |ct| < 1/2.
-    """
+    """Circle of 2n+1 atoms on |z| = r with moments (s0, 0, ..., 0, c) through
+    order n: the single-frequency case of ``_circle``, ct = (c/s0)/r^n."""
     if s0 <= 0:
         raise InputError("s_0 must be strictly positive")
     if n < 2:
@@ -226,10 +199,18 @@ def solve_gap_moments(
     if r <= 0:
         raise InputError("radius must be positive")
     c = complex(c)
-    ct = _normalized_target(s0, c, n, r, delta)
-    atoms, masses = _expand_rings(
-        s0, np.array([float(r)]), np.array([n]), np.array([ct])
-    )
+    targets = np.zeros(n + 1, dtype=np.complex128)
+    targets[n] = c
+    ct = _normalized_targets(s0, targets, r)
+    # delta = 0 admits the boundary |c~| = 1/2 (masses can still all be
+    # positive there, as the positivity check in _circle decides); the
+    # default margin guarantees the mass floor 2*delta*s0/N
+    if abs(ct[n]) > 0.5 - delta:
+        raise InputError(
+            f"|c~| = {abs(ct[n]):.4f} exceeds {0.5 - delta}; "
+            f"choose a radius of at least {admissible_radius(s0, c, n, delta):.6g}"
+        )
+    atoms, masses = _circle(s0, r, ct)
     return CircleSolution(
         radius=float(r), order=n, target=c, measure=AtomicMeasure(atoms, masses)
     )
@@ -237,16 +218,58 @@ def solve_gap_moments(
 
 @dataclass
 class RadiusSchedule:
-    """Knobs for choosing the ring radii in the measure construction."""
+    """Knobs of the circle: ``gamma`` (> 1) is the minimum ratio of its
+    radius to the modulus of the first atom, which is so never on it, and
+    ``delta`` the margin sum |ct_n| <= 1/2 - delta flooring every mass."""
 
-    gamma: float = RADIUS_GROWTH
+    gamma: float = RADIUS_RATIO
     delta: float = MASS_DELTA
 
     def __post_init__(self):
-        if self.gamma <= 1.0:
-            raise InputError("gamma must exceed 1 to keep the rings disjoint")
+        if not 1.0 < self.gamma < math.inf:  # NaN fails too
+            raise InputError("gamma must be finite and exceed 1 (first atom off the circle)")
         if not (0.0 < self.delta < 0.5):
             raise InputError("delta must lie strictly between 0 and 1/2")
+
+
+def _check_scale(s0: float, r: float, rho: int) -> None:
+    """Raise when max(1, s0) r^rho, the largest magnitude entering the moment
+    sums of a circle of radius r and mass s0, would overflow float64, or
+    r^rho would fall below its normal range."""
+    power = rho * math.log10(r)
+    scale = power + max(0.0, math.log10(s0))
+    if scale > 308 or power < -307:
+        raise PreconditionError(
+            f"precision exhausted at scale 1e{scale if scale > 308 else power:.0f} "
+            f"(circle radius {r:.3g}, order {rho})"
+        )
+
+
+def _circle_radius(s0: float, c: np.ndarray, floor: float, delta: float) -> float:
+    """Smallest r >= floor with sum_n |c_n| / (s0 r^n) <= 1/2 - delta.
+
+    In t = log r this is sum_n exp(la_n - n t) <= 1, decreasing in t.  One
+    term alone exceeds 1 below max(la_n / n), and each of the m terms is
+    at most 1/m above max((la_n + log m) / n): a closed-form bracket, cut
+    16-fold per step by evaluating 15 interior points at once.  With no
+    nonzero c_n only the floor bounds r, and r = max(floor, 1).
+    """
+    n = np.flatnonzero(c)
+    if len(n) == 0:
+        return max(floor, 1.0)
+    la = np.log(np.abs(c[n])) - (math.log(s0) + math.log(0.5 - delta))
+    lo = float(np.max(la / n))
+    if floor > 0:
+        lo = max(lo, math.log(floor))
+    hi = max(float(np.max((la + math.log(len(n))) / n)), lo)
+    while hi - lo > RADIUS_RTOL:
+        t = lo + (hi - lo) * _SECTION_POINTS
+        passing = np.flatnonzero(np.exp(la - t[:, None] * n).sum(axis=1) <= 1.0)
+        k = passing[0] if len(passing) else len(t)  # the sum decreases in t
+        hi = float(t[k]) if k < len(t) else hi
+        lo = float(t[k - 1]) if k > 0 else lo
+    # tiny pad so the margin cannot fail to rounding at the boundary
+    return max(math.exp(hi) * (1.0 + 1e-9), floor)
 
 
 def algorithm1(
@@ -254,60 +277,32 @@ def algorithm1(
 ) -> AtomicMeasure:
     """Finitely atomic measure matching the prescribed moments s_0..s_rho.
 
-    Step 1 spends a single atom on (s_0/rho, s_1).  Step n (2..rho) places
-    a ring of order n carrying mass s_0/rho, kept as the descriptor
-    (r_n, n, ct_n) only.  Its order-n moment c_n is s_n minus the first
-    atom's s_0/rho * z^n and minus the order-n moments of the earlier
-    rings, which are known in closed form (``_ring_moment``), so each step
-    is O(rho) scalar work; lower ring moments vanish by construction.
-    Ring radii grow at least geometrically, so the rings are pairwise
-    disjoint and never pass through the first atom.  After the last step
-    every ring is expanded to its atoms and masses in one vectorized pass
-    and one measure is built, which matches every prescribed moment.
+    The first atom a = s_1 / (s_0/2) carries mass s_0/2 and matches s_1.
+    One circle (``_circle``) carries the other s_0/2 and every remaining
+    c_n = s_n - (s_0/2) a^n, n = 2..rho, at once: its order-k moment is
+    exactly c_k.  Its radius is the smallest with every mass above the
+    floor and at least gamma |a|.  Raises ``PreconditionError`` naming
+    the scale, before anything is built, when float64 cannot hold it.
     """
     if schedule is None:
         schedule = RadiusSchedule()
     rho = seq.rho
     if rho < 2:
-        raise InputError("the stepwise construction needs rho >= 2")
-    s0_step = seq.s0 / rho
-
-    s = seq.values.tolist()
-    first_atom = s[1] / s0_step
-    inner = abs(first_atom)
-    r_prev = inner or 1.0
-    radii: list[float] = []
-    cts: list[complex] = []
-    for n in range(2, rho + 1):
-        r_n = r_prev  # the largest radius raised to the power n so far
-        try:
-            c_n = s[n] - s0_step * first_atom**n
-            for m, (r_m, ct_m) in enumerate(zip(radii, cts), start=2):
-                c_n -= _ring_moment(s0_step, r_m, m, ct_m, n)
-            r_n = max(
-                admissible_radius(s0_step, c_n, n, schedule.delta),
-                schedule.gamma * r_prev,
-            )
-            if not np.isfinite(r_n):  # |c_n| / ring mass overflowed to inf
-                raise OverflowError
-            ct_n = _normalized_target(s0_step, c_n, n, r_n, schedule.delta)
-        except OverflowError:
-            raise PreconditionError(
-                f"float64 range exhausted at ring order {n}: "
-                f"radius {r_n:.6g} to the power {n} overflows"
-            ) from None
-        # schedule sanity: strictly separated radii, none through the first atom
-        if r_n - inner <= 1e-6 * r_n:
-            raise ConsistencyError("radius schedule produced insufficiently separated rings")
-        cts.append(ct_n)
-        radii.append(r_n)
-        inner = r_prev = r_n
-
-    atoms, masses = _expand_rings(
-        s0_step, np.array(radii), np.arange(2, rho + 1), np.array(cts)
-    )
+        raise InputError("the circle construction needs rho >= 2")
+    half = seq.s0 / 2
+    if half == 0:
+        raise PreconditionError(f"precision exhausted: s_0 = {seq.s0:.3g} has no half in float64")
+    first_atom = seq.values[1] / half  # numpy's abs overflows to inf, Python's raises
+    floor = schedule.gamma * abs(first_atom)
+    if floor > 1:  # r >= floor, so (s0/2) a^n below overflows only past this
+        _check_scale(half, floor, rho)
+    c = seq.values - half * first_atom ** np.arange(rho + 1)
+    c[:2] = 0.0  # the circle carries its mass at order 0 and nothing at order 1
+    r = _circle_radius(half, c, floor, schedule.delta)
+    _check_scale(half, r, rho)
+    atoms, masses = _circle(half, r, _normalized_targets(half, c, r))
     return AtomicMeasure(
-        np.concatenate(([first_atom], atoms)), np.concatenate(([s0_step], masses))
+        np.concatenate(([first_atom], atoms)), np.concatenate(([half], masses))
     )
 
 
@@ -315,8 +310,8 @@ def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
     """Relative residual |sum m z^k - s_k| for each prescribed moment.
 
     The denominator max(1, |s_k|, max|z|^k * total mass) reflects the
-    largest magnitude entering the atom sum; ring radii grow geometrically
-    so an absolute residual would be meaningless at high orders.  Raises
+    largest magnitude entering the atom sum; max|z|^k spans many decades
+    over k, so an absolute residual would be meaningless at high orders.  Raises
     ``PreconditionError`` when max|z|^k * total mass overflows float64.
     """
     zmax = float(np.max(np.abs(mu.atoms)))

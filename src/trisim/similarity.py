@@ -143,8 +143,8 @@ def orthonormality_residuals(
     """Relative deviation of the bilinear Gram matrix from the identity.
 
     Entry (m, n) is |sum_j w_j p_n p_m - delta| divided by the largest
-    magnitude entering that sum; far-out rings make the absolute terms
-    huge, so the zero test must be relative.
+    magnitude entering that sum; the values at the circle atoms span many
+    decades, so the zero test must be relative.
     """
     gram, scales = bilinear_gram(poly_at_atoms[: n_max + 1], mu)
     return np.abs(gram - np.eye(n_max + 1)) / np.maximum(1.0, scales)
@@ -157,10 +157,10 @@ def build_transform(
 ) -> SimilarityData:
     """Run the whole construction for one class matrix.
 
-    Spectral moments up to rho (default 2d+1), the atomic measure from the
-    stepwise construction, and the polynomial family up to degree d.  Class
-    membership is checked by ``spectral_moments``; the bilinear
-    orthonormality and the rank of the node matrix are judged by
+    Spectral moments up to rho (default 2d+1), the atomic measure of
+    ``algorithm1`` (one atom and one circle), and the polynomial family up
+    to degree d.  Class membership is checked by ``spectral_moments``; the
+    bilinear orthonormality and the rank of the node matrix are judged by
     ``verify_similarity``, against the caller's tol.
     """
     d = m.dim
@@ -186,10 +186,7 @@ def build_transform(
 def check_invertible(data: SimilarityData) -> float:
     """Smallest singular value of the node matrix sqrt(m_j) p_k(z_j); > 0 means T invertible.
 
-    Only positivity is asserted.  The far rings make the node matrix so
-    ill-conditioned that the reported value depends on the row order: for
-    ``random_class_matrix(1, 12)`` and the default schedule it is 0.963 on
-    the node matrix and 0.677 on its rows reversed, with sigma_max 3.4e55.
+    Only positivity is asserted.
     """
     v = np.sqrt(data.measure.masses)[:, None] * data.poly_at_atoms[: data.dim].T
     if v.shape[0] < data.dim:
@@ -206,11 +203,13 @@ class SimilarityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(float(np.max(self.residuals)), self.orthonormality)
+        return float(np.max(np.append(self.residuals, self.orthonormality)))  # NaN wins
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol and self.sigma_min > 0
+        # a check that overflowed to inf or NaN certifies nothing
+        finite = np.isfinite(self.max_residual) and np.isfinite(self.sigma_min)
+        return bool(finite and self.max_residual <= self.tol and self.sigma_min > 0)
 
 
 def verify_similarity(
@@ -231,8 +230,6 @@ def verify_similarity(
     d = data.dim
     if m.dim != d:
         raise InputError(f"matrix has dimension {m.dim}, the transform {d}")
-    # both checks run before the d-by-n_atoms arrays exist: in the other
-    # order glibc's dynamic mmap threshold raises peak RSS by a tenth at 10k atoms
     orth = float(np.max(orthonormality_residuals(data.poly_at_atoms, data.measure, d)))
     sigma_min = check_invertible(data)
     p = data.poly_at_atoms

@@ -252,11 +252,13 @@ class TestSolve:
         assert main(["solve", "--input", inp]) == 2  # rejected at parse
 
     def test_infinite_ring_radius_exits_3(self, tmp_path):
-        # |c_2| / ring mass overflows to inf, so no finite radius admits it
+        # |c_2| / (s0/2) overflows to inf; the circle radius it needs is
+        # finite, 2e155, but its square is not, which is predicted before
+        # anything is built
         inp = write(tmp_path, "m.json", {"rho": 2, "s": [[1e-300, 0], [0, 0], [1e10, 0]]})
         proc = run_fresh("solve", "--input", inp)
         assert proc.returncode == 3
-        assert "ring order 2" in proc.stderr
+        assert "precision exhausted at scale 1e311 (circle radius 2e+155, order 2)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -309,14 +311,14 @@ class TestSimilarityCommand:
         assert main(["similarity", "--input", str(op), "--output", str(out)]) == 0
 
     def test_explicit_tol_is_used(self, tmp_path, capsys):
-        # this input verifies to about 1.02e-9: inside the 1e-8 default,
-        # outside an explicit --tol 1e-9
+        # this input verifies to about 1.6e-15: inside the 1e-8 default,
+        # outside an explicit --tol 1e-16
         op = tmp_path / "op.json"
         main(["gen", "--seed", "11", "--d", "12", "--output", str(op)])
         capsys.readouterr()
-        assert main(["similarity", "--input", str(op), "--tol", "1e-9"]) == 1
+        assert main(["similarity", "--input", str(op), "--tol", "1e-16"]) == 1
         result = json.loads(capsys.readouterr().out)
-        assert 1e-9 < result["max_residual"] < 1e-8
+        assert 1e-16 < result["max_residual"] < 1e-8
         assert result["passed"] is False
         assert main(["similarity", "--input", str(op)]) == 0
 
@@ -335,12 +337,41 @@ class TestSimilarityCommand:
         assert "a_1" in err
 
     def test_float64_exhaustion_exits_3(self, tmp_path):
+        # the circle radius to the power rho = 513 would be 1e392
         op = tmp_path / "op.json"
-        assert main(["gen", "--seed", "3", "--d", "20", "--output", str(op)]) == 0
+        assert main(["gen", "--seed", "3", "--d", "256", "--output", str(op)]) == 0
         proc = run_fresh("similarity", "--input", str(op))
         assert proc.returncode == 3
-        assert "ring order" in proc.stderr
+        assert "precision exhausted at scale 1e392 (circle radius 5.82, order 513)" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestTolFlag:
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("form", ["tridiagonal", "dense"])
+    def test_classify_rejects_bad_tol_on_both_forms(self, tmp_path, capsys, form, tol):
+        # before, a negative or NaN tol gave the two forms different verdicts
+        m = random_class_matrix(7, 4)
+        doc = io.operator_to_json(m) if form == "tridiagonal" else io.dense_to_json(m.dense())
+        inp = write(tmp_path, "op.json", doc)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--input", inp, "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol: must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["classify", "canonicalize", "solve", "similarity", "verify"]
+    )
+    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf", "-inf"])
+    def test_every_tol_command_exits_2(self, capsys, command, tol):
+        # rejected while parsing, before the input is read
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", "missing.json", f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "--tol: must be finite and >= 0" in capsys.readouterr().err
+
+    def test_zero_tol_is_accepted(self, tmp_path, capsys):
+        assert main(["classify", "--input", chain_file(tmp_path), "--tol", "0"]) == 0
 
 
 class TestVerifyCommand:
@@ -595,6 +626,8 @@ class TestFuzz:
         doc={"kind": "dense", "rows": [[[0, 0], [1.7e308, 0]], [[-1.7e308, 0], [0, 0]]]},
         command="similarity",
     )
+    @example(doc={"rho": 2, "s": [[2, 0], [1.5e308, 1.5e308], [0, 0]]}, command="solve")
+    @example(doc={"rho": 2, "s": [[5e-324, 0], [1, 0], [0, 0]]}, command="solve")
     def test_any_document_gets_an_exit_code(self, tmp_path_factory, doc, command):
         # no exception escapes cli.main, RuntimeWarnings included (they are
         # errors under the pytest configuration)

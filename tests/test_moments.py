@@ -6,6 +6,7 @@ from trisim.core import (
     AtomicMeasure,
     ConsistencyError,
     InputError,
+    PreconditionError,
     TridiagonalSymmetric,
     random_class_matrix,
 )
@@ -174,20 +175,40 @@ class TestSolveGapMoments:
                 assert abs(mu.moment(k) - target) / scale < 1e-12
 
 
-class TestRingMoment:
-    def test_closed_form_matches_atom_sum(self):
-        # k up to 3n+1 reaches the aliased orders n+1, 2n+1 and 3n+1
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            s0 = rng.uniform(0.01, 2)
-            c = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            n = int(rng.integers(2, 9))
-            r = admissible_radius(s0, c, n) * rng.uniform(1, 3)
-            mu = solve_gap_moments(s0, c, n, r).measure
-            ct = (c / s0) / r**n
-            for k in range(3 * n + 2):
-                got = moments._ring_moment(s0, r, n, ct, k)
-                assert abs(got - mu.moment(k)) <= 1e-12 * s0 * r**k
+class TestCircle:
+    def test_order_k_atom_sum_is_scaled_target(self):
+        # over the 2 rho + 1 roots of unity the circle's order-k moment picks
+        # up only ct_k: (s0/2) r^k ct_k for 2 <= k <= rho, and 0 at k = 1
+        for seed, d in [(1, 2), (2, 5), (3, 12), (4, 32)]:
+            seq = spectral_moments(random_class_matrix(seed, d), 2 * d + 1)
+            mu = algorithm1(seq)
+            half, a = mu.masses[0], mu.atoms[0]
+            assert half == seq.s0 / 2
+            z, w = mu.atoms[1:], mu.masses[1:]
+            r = z[0].real
+            assert abs(np.sum(w * z)) <= 1e-14 * half * r
+            for k in range(2, seq.rho + 1):
+                ct = (seq.values[k] - half * a**k) / (half * r**k)
+                got = np.sum(w * z**k)
+                assert abs(got - half * r**k * ct) <= 1e-13 * half * r**k
+
+    def test_subnormal_scale_is_a_precondition(self):
+        # entries scaled by 1e-3 give r near 3e-3, so r^129 and the top
+        # moments are subnormal: predicted before r^n underflows to 0
+        m = random_class_matrix(1, 64)
+        seq = spectral_moments(TridiagonalSymmetric(m.diag * 1e-3, m.offdiag * 1e-3), 129)
+        msg = r"precision exhausted at scale 1e-322 \(circle radius 0.00317, order 129\)"
+        with pytest.raises(PreconditionError, match=msg):
+            algorithm1(seq)
+
+    def test_masses_sum_to_half_and_clear_the_floor(self):
+        for seed, d in [(5, 3), (6, 16)]:
+            seq = spectral_moments(random_class_matrix(seed, d), 2 * d + 1)
+            mu = algorithm1(seq)
+            w = mu.masses[1:]
+            assert len(w) == 2 * seq.rho + 1
+            assert abs(w.sum() - seq.s0 / 2) <= 1e-14
+            assert np.all(w >= 2 * moments.MASS_DELTA * (seq.s0 / 2) / len(w) * (1 - 1e-9))
 
 
 class TestAlgorithm1:
@@ -204,7 +225,11 @@ class TestAlgorithm1:
         seq = MomentSequence(rho, np.array([1.0] + [0.0] * rho))
         mu = algorithm1(seq)
         assert mu.atoms[0] == 0
-        assert mu.masses[0] == pytest.approx(1 / rho)
+        assert mu.masses[0] == 1 / 2
+        # nothing fixes the scale: the circle has radius 1 and uniform masses
+        big_n = 2 * rho + 1
+        assert np.allclose(mu.atoms[1:], np.exp(2j * np.pi * np.arange(big_n) / big_n))
+        assert np.allclose(mu.masses[1:], 1 / (2 * big_n))
         assert np.max(verify_measure(mu, seq)) < 1e-12
 
     def test_chain_spectral_moments(self):
@@ -217,16 +242,37 @@ class TestAlgorithm1:
             m = random_class_matrix(d, d)
             seq = spectral_moments(m, 2 * d + 1)
             mu = algorithm1(seq)
-            assert mu.n_atoms == 1 + sum(2 * n + 1 for n in range(2, 2 * d + 2))
+            assert mu.n_atoms == 2 * seq.rho + 2 == 4 * d + 4
             assert mu.n_atoms > 2 * d
 
-    def test_ring_radii_disjoint(self):
+    def test_circle_radius_clears_first_atom(self):
         seq = spectral_moments(random_class_matrix(5, 4), 9)
-        mu = algorithm1(seq)
-        radii = np.unique(np.round(np.abs(mu.atoms[1:]), 9))
-        assert len(radii) == 8  # one ring per step 2..9
-        assert np.all(np.diff(radii) > 1e-6 * radii[1:])
-        assert np.all(np.abs(radii - abs(mu.atoms[0])) > 1e-6 * radii)
+        for gamma in [1.01, 1.5, 4.0]:
+            mu = algorithm1(seq, RadiusSchedule(gamma=gamma))
+            r = mu.atoms[1].real
+            assert mu.atoms[1].imag == 0
+            assert np.max(np.abs(np.abs(mu.atoms[1:]) - r)) <= 4 * np.finfo(float).eps * r
+            assert r >= gamma * abs(mu.atoms[0])
+
+    def test_radius_is_the_smallest_admissible(self):
+        # sum |ct_n| stays within 1/2 - delta at r, and a radius smaller by
+        # twice the search tolerance breaks it, unless the gamma floor binds
+        # (as it does at gamma 4 and not at 1.01)
+        for seed, d, gamma in [(5, 4, 1.01), (6, 16, 1.01), (7, 16, 4.0)]:
+            seq = spectral_moments(random_class_matrix(seed, d), 2 * d + 1)
+            mu = algorithm1(seq, RadiusSchedule(gamma=gamma))
+            half, a, r = mu.masses[0], mu.atoms[0], mu.atoms[1].real
+            n = np.arange(2, seq.rho + 1)
+            c = np.abs(seq.values[2:] - half * a**n) / half
+            budget = 0.5 - moments.MASS_DELTA
+            assert np.sum(c / r**n) <= budget * (1 + 1e-12)
+            floor = gamma * abs(a)
+            binds = np.sum(c / floor**n) <= budget
+            assert binds == (gamma == 4.0)
+            if binds:
+                assert floor <= r <= floor * (1 + 2 * moments.RADIUS_RTOL)
+            else:
+                assert np.sum(c / (r / (1 + 2 * moments.RADIUS_RTOL)) ** n) > budget
 
     def test_end_to_end_random(self):
         for seed in range(20):
@@ -236,29 +282,18 @@ class TestAlgorithm1:
             mu = algorithm1(seq)
             assert np.max(verify_measure(mu, seq)) < 1e-9
 
-    def test_rings_match_solve_gap_moments_bitwise(self, monkeypatch):
-        for seed, d, gamma in [(11, 6, 1.5), (12, 16, 1.01)]:
-            seq = spectral_moments(random_class_matrix(seed, d), 2 * d + 1)
-            calls = []
-            target = moments._normalized_target
-
-            def spy(s0, c, n, r, delta):
-                calls.append((s0, c, n, r))
-                return target(s0, c, n, r, delta)
-
-            monkeypatch.setattr(moments, "_normalized_target", spy)
-            mu = algorithm1(seq, RadiusSchedule(gamma=gamma))
-            monkeypatch.undo()
-            assert [n for _, _, n, _ in calls] == list(range(2, seq.rho + 1))
-            start = 1
-            for s0, c, n, r in calls:
-                assert s0 == seq.s0 / seq.rho
-                ring = solve_gap_moments(s0, c, n, r).measure
-                stop = start + ring.n_atoms
-                assert np.array_equal(mu.atoms[start:stop], ring.atoms)
-                assert np.array_equal(mu.masses[start:stop], ring.masses)
-                start = stop
-            assert start == mu.n_atoms
+    @pytest.mark.parametrize("first, rho", [(0.0, 2), (0.0, 5), (0.5, 5), (0.5, 13)])
+    def test_single_frequency_circle_matches_solve_gap_moments_bitwise(self, first, rho):
+        # s_n = (s0/2) a^n exactly for 2 <= n < rho (a = 0 or 1), so the
+        # circle carries the one frequency rho: a gap problem
+        target = 3.0 + 2.0j
+        seq = MomentSequence(rho, np.array([1.0] + [first] * (rho - 1) + [target]))
+        mu = algorithm1(seq)
+        assert mu.atoms[0] == 2 * first and mu.masses[0] == 0.5
+        r = mu.atoms[1].real
+        ring = solve_gap_moments(0.5, target - first, rho, r).measure
+        assert np.array_equal(mu.atoms[1:], ring.atoms)
+        assert np.array_equal(mu.masses[1:], ring.masses)
 
     @pytest.mark.parametrize("d", [16, 32])
     def test_larger_dimensions_near_unit_growth(self, d):
@@ -274,13 +309,22 @@ class TestAlgorithm1:
         mu = algorithm1(seq, RadiusSchedule(gamma=2.5, delta=1e-2))
         assert np.max(verify_measure(mu, seq)) < 1e-10
 
+    def test_far_first_atom_exhausts_before_its_powers_overflow(self):
+        # a = 2000 and r >= 1.5 |a| put r^150 near 1e522: predicted from the
+        # floor, before (s0/2) a^n is formed
+        seq = MomentSequence(150, np.array([1.0, 1e3] + [0.0] * 149))
+        msg = r"scale 1e522 \(circle radius 3e\+03, order 150\)"
+        with pytest.raises(PreconditionError, match=msg):
+            algorithm1(seq)
+
     def test_rejects_rho_below_two(self):
         with pytest.raises(InputError):
             algorithm1(MomentSequence(1, np.array([1, 1j])))
 
     def test_bad_schedule_rejected(self):
-        with pytest.raises(InputError):
-            RadiusSchedule(gamma=0.9)
+        for gamma in [0.9, 1.0, np.nan, np.inf]:
+            with pytest.raises(InputError):
+                RadiusSchedule(gamma=gamma)
         with pytest.raises(InputError):
             RadiusSchedule(delta=0.7)
 

@@ -10,7 +10,7 @@ from trisim.core import (
     TridiagonalSymmetric,
     random_class_matrix,
 )
-from trisim.moments import extend_matrix
+from trisim.moments import extend_matrix, spectral_moments, verify_measure
 from trisim.similarity import (
     SimilarityData,
     SimilarityReport,
@@ -132,8 +132,10 @@ class TestBuildTransform:
             build_transform(CHAIN2, rho=4)
 
     def test_float64_exhaustion_is_a_precondition(self):
-        with pytest.raises(PreconditionError, match="ring order"):
-            build_transform(random_class_matrix(3, 20))
+        # predicted from the circle radius before any atom exists
+        msg = r"precision exhausted at scale 1e392 \(circle radius 5.82, order 513\)"
+        with pytest.raises(PreconditionError, match=msg):
+            build_transform(random_class_matrix(3, 256))
 
 
 class TestVerifySimilarity:
@@ -232,6 +234,45 @@ class TestVerifySimilarity:
         data = build_transform(m)
         assert calls == [2 * 5 + 3, 5 + 1]
         assert np.array_equal(data.polys.coeffs, build_polynomials(m, 5).coeffs)
+
+
+class TestSimilarityReport:
+    @pytest.mark.parametrize(
+        "residual, orth, sigma_min",
+        [
+            (1e-16, np.nan, 1.0),  # Python's max() used to drop this NaN
+            (1e-16, np.inf, 1.0),
+            (np.nan, 0.0, 1.0),
+            (1e-16, 0.0, np.nan),
+            (1e-16, 0.0, np.inf),
+        ],
+    )
+    def test_non_finite_check_fails(self, residual, orth, sigma_min):
+        report = SimilarityReport(np.array([1e-16, residual]), orth, sigma_min, tol=1e-8)
+        assert report.passed is False
+
+    def test_nan_orthonormality_shows_in_max_residual(self):
+        report = SimilarityReport(np.array([1e-16]), orthonormality=np.nan, sigma_min=1.0, tol=1e-8)
+        assert np.isnan(report.max_residual)
+
+    def test_finite_checks_within_tol_pass(self):
+        report = SimilarityReport(np.array([1e-16, 2e-9]), 5e-9, sigma_min=0.3, tol=1e-8)
+        assert report.passed is True
+        assert report.max_residual == 5e-9
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("d", [16, 32, 64, 128])
+    def test_default_settings_verify(self, d):
+        # one atom and one circle of 4d + 3 atoms: every seed verifies at the
+        # 1e-8 default, and the measure matches its moments to 1e-12
+        for seed in range(5):
+            m = random_class_matrix(seed, d)
+            data = build_transform(m)
+            assert data.measure.n_atoms == 4 * d + 4
+            assert verify_similarity(m, data, 1e-8).passed
+            seq = spectral_moments(m, 2 * d + 1)
+            assert np.max(verify_measure(data.measure, seq)) <= 1e-12
 
 
 class TestSesquilinearIsNotTheRightPairing:
