@@ -12,6 +12,9 @@ Subcommands cover each pipeline stage plus the end-to-end run:
 
 Exit codes: 0 pass, 1 verification failure, 2 malformed input,
 3 precondition violation, 4 internal-invariant failure.
+
+``main(argv)`` returns the exit code and may be called any number of times
+in one process.
 """
 
 from __future__ import annotations
@@ -195,7 +198,11 @@ def cmd_gen(args) -> int:
     return EXIT_PASS
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser; given ``argv``, only the commands it names get
+    their flags.  argparse hands the arguments after the command to that
+    command's subparser alone, so the parse is the same as with every flag,
+    and adding the other commands' flags would cost more than the parse."""
     parser = argparse.ArgumentParser(
         prog="trisim",
         description="Tridiagonal complex symmetric operators: moment problems "
@@ -226,16 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (fn, names) in commands.items():
         # no prefix matching, so that "--d" cannot stand for "--delta"
         p = sub.add_parser(name, allow_abbrev=False)
-        for flag in names.split():
-            p.add_argument("--" + flag, **flags[flag])
+        if argv is None or name in argv:
+            for flag in names.split():
+                p.add_argument("--" + flag, **flags[flag])
         p.set_defaults(handler=fn)
     sub.choices["similarity"].set_defaults(tol=ORTHONORMALITY_TOL)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     if args.command != "gen" and args.input is None:
         print("error: --input is required", file=sys.stderr)
         return EXIT_MALFORMED

@@ -232,17 +232,28 @@ class RadiusSchedule:
             raise InputError("delta must lie strictly between 0 and 1/2")
 
 
-def _check_scale(s0: float, r: float, rho: int) -> None:
+def _check_scale(s0: float, log_r: float, rho: int) -> None:
     """Raise when max(1, s0) r^rho, the largest magnitude entering the moment
-    sums of a circle of radius r and mass s0, would overflow float64, or
-    r^rho would fall below its normal range."""
-    power = rho * math.log10(r)
+    sums of a circle of radius r = 10^log_r and mass s0, would overflow
+    float64, or r^rho would fall below its normal range."""
+    power = rho * log_r
     scale = power + max(0.0, math.log10(s0))
     if scale > 308 or power < -307:
         raise PreconditionError(
             f"precision exhausted at scale 1e{scale if scale > 308 else power:.0f} "
-            f"(circle radius {r:.3g}, order {rho})"
+            f"(circle radius {_format_power_of_ten(log_r)}, order {rho})"
         )
+
+
+def _format_power_of_ten(x: float) -> str:
+    """10^x as "%.3g" writes it, also when 10^x lies past float64."""
+    if x < 308:
+        return f"{10**x:.3g}"
+    exp = math.floor(x)
+    mantissa = float(f"{10 ** (x - exp):.3g}")
+    if mantissa == 10:  # rounding carried into the exponent
+        mantissa, exp = 1.0, exp + 1
+    return f"{mantissa:g}e+{exp}"
 
 
 def _circle_radius(s0: float, c: np.ndarray, floor: float, delta: float) -> float:
@@ -290,16 +301,26 @@ def algorithm1(
     if rho < 2:
         raise InputError("the circle construction needs rho >= 2")
     half = seq.s0 / 2
-    if half == 0:
-        raise PreconditionError(f"precision exhausted: s_0 = {seq.s0:.3g} has no half in float64")
-    first_atom = seq.values[1] / half  # numpy's abs overflows to inf, Python's raises
+    if half < np.finfo(np.float64).tiny:  # numpy divides by the reciprocal, inf for a subnormal
+        raise PreconditionError(
+            f"precision exhausted: s_0/2 = {half:.3g} is below the normal float64 range"
+        )
+    s1 = complex(seq.values[1])
+    big = max(abs(s1.real), abs(s1.imag))
+    if big > 0:
+        # log10 of the floor gamma |a|, a = s1 / half, formed so that no
+        # product can overflow; r >= floor, so (s0/2) a^n below overflows
+        # only past it
+        log_a = math.log10(abs(s1 / big)) + math.log10(big) - math.log10(half)
+        log_floor = math.log10(schedule.gamma) + log_a
+        if log_floor > 0:
+            _check_scale(half, log_floor, rho)
+    first_atom = seq.values[1] / half
     floor = schedule.gamma * abs(first_atom)
-    if floor > 1:  # r >= floor, so (s0/2) a^n below overflows only past this
-        _check_scale(half, floor, rho)
     c = seq.values - half * first_atom ** np.arange(rho + 1)
     c[:2] = 0.0  # the circle carries its mass at order 0 and nothing at order 1
     r = _circle_radius(half, c, floor, schedule.delta)
-    _check_scale(half, r, rho)
+    _check_scale(half, math.log10(r), rho)
     atoms, masses = _circle(half, r, _normalized_targets(half, c, r))
     return AtomicMeasure(
         np.concatenate(([first_atom], atoms)), np.concatenate(([half], masses))

@@ -261,6 +261,14 @@ class TestSolve:
         assert "precision exhausted at scale 1e311 (circle radius 2e+155, order 2)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_first_atom_floor_past_float64_exits_3(self, tmp_path):
+        # gamma |s_1 / (s_0/2)| overflows float64; the scale is still named
+        inp = write(tmp_path, "m.json", {"rho": 2, "s": [[2, 0], [1e308, 1e308], [0, 0]]})
+        proc = run_fresh("solve", "--input", inp)
+        assert proc.returncode == 3
+        assert "precision exhausted at scale 1e617 (circle radius 2.12e+308, order 2)" in proc.stderr
+        assert "inf" not in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestMomentsCommand:
     def test_chain_moments(self, tmp_path, capsys):
@@ -500,6 +508,44 @@ class TestRoundTrip:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestParser:
+    # main builds a parser with flags for the commands named in argv only
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["similarity", "--input", "x.json", "--tol", "1e-3", "--gamma", "2"],
+            ["solve", "--input", "x.json", "--delta", "0.1"],
+            ["gen", "--seed", "3", "--d", "5", "--output", "similarity"],
+            ["moments", "--input", "x.json", "--rho", "4"],
+        ],
+    )
+    def test_parse_is_that_of_the_full_parser(self, argv):
+        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["similarity", "--help"],
+            ["bogus", "--input", "x.json"],
+            ["classify", "--input", "x.json", "--gamma", "0.1"],
+            ["verify", "--input", "x.json", "stray"],
+        ],
+    )
+    def test_help_and_errors_are_those_of_the_full_parser(self, argv, capsys):
+        seen = []
+        for parser in (cli.build_parser(argv), cli.build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+
+    def test_unnamed_commands_get_no_flags(self):
+        with pytest.raises(SystemExit):
+            cli.build_parser(["gen"]).parse_args(["similarity", "--input", "x.json"])
 
 
 class TestCanonicalizeCommand:

@@ -317,6 +317,30 @@ class TestAlgorithm1:
         with pytest.raises(PreconditionError, match=msg):
             algorithm1(seq)
 
+    def test_floor_past_float64_names_a_finite_scale(self):
+        # gamma |a| = 1.5 * 1.41e308 overflows; its exponent is formed in
+        # log10, so no product overflows and no RuntimeWarning is raised
+        seq = MomentSequence(2, np.array([2, 1e308 + 1e308j, 0]))
+        msg = r"precision exhausted at scale 1e617 \(circle radius 2.12e\+308, order 2\)"
+        with pytest.raises(PreconditionError, match=msg):
+            algorithm1(seq)
+
+    def test_radius_rounding_carries_into_the_exponent(self):
+        # the floor gamma |a| is 10^308.999999: its mantissa 9.99998 prints
+        # to three figures as 10, so the radius reads 1e+309, not 10e+308
+        seq = MomentSequence(2, np.array([2e-10, 10**298.999999 / 1.5, 0]))
+        msg = r"precision exhausted at scale 1e618 \(circle radius 1e\+309, order 2\)"
+        with pytest.raises(PreconditionError, match=msg):
+            algorithm1(seq)
+
+    @pytest.mark.parametrize("s0", [1e-310, 5e-324])
+    def test_subnormal_half_mass_exhausts(self, s0):
+        # at 1e-310, s_1 / (s_0/2) is 2, but numpy forms it through
+        # 1/(s_0/2) = inf; at 5e-324, s_0/2 rounds to 0
+        seq = MomentSequence(2, np.array([s0, s0, s0]))
+        with pytest.raises(PreconditionError, match="below the normal float64 range"):
+            algorithm1(seq)
+
     def test_rejects_rho_below_two(self):
         with pytest.raises(InputError):
             algorithm1(MomentSequence(1, np.array([1, 1j])))
