@@ -51,13 +51,9 @@ def as_complex_vector(v, name: str = "vector") -> np.ndarray:
 
 
 def rel_zero(x: float, scale: float, tol: float = DEFAULT_TOL) -> bool:
-    """Relative zero test: |x| <= tol * max(1, scale).
-
-    Absolute tests are useless here because powers of the circle radius
-    of the measure construction span many decades; every "equals zero"
-    decision is made relative to the largest magnitude entering the
-    computation.
-    """
+    """Relative zero test |x| <= tol * max(1, scale): powers of the circle
+    radius span many decades, so every "equals zero" decision is relative
+    to the largest magnitude entering the computation."""
     return abs(x) <= tol * max(1.0, scale)
 
 

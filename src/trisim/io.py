@@ -88,8 +88,7 @@ def measure_to_json(mu: AtomicMeasure) -> dict:
 def measure_from_json(obj: dict) -> AtomicMeasure:
     if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
         raise InputError("measure object must carry an 'atoms' list")
-    atoms = []
-    masses = []
+    atoms, masses = [], []
     for entry in obj["atoms"]:
         try:
             atoms.append(complex_from_json(entry["z"]))

@@ -1,14 +1,15 @@
 """Spectral moments and the truncated moment problem on the complex plane.
 
-Two jobs live here.  First, extracting the power moments s_k of the
-bilinear spectral functional attached to a class matrix: extend the
-matrix down-right with zero diagonal and unit off-diagonal entries,
-truncate, and read s_k off the (0,0) entry of the plain (unconjugated)
-k-th power.  Second, building a finitely atomic positive measure with
-prescribed moments s_0..s_rho, 2 rho + 2 atoms in all: one atom carries
-half of s_0 and all of s_1, and one circle of N = 2 rho + 1 equally
-spaced atoms carries the other half and every remaining moment at once.
-The circle's masses sample the positive trigonometric density
+Two jobs live here.  First, the power moments s_k of the bilinear
+spectral functional of a class matrix: with T the matrix extended
+down-right by zero diagonal and unit off-diagonal entries, s_k is the
+(0,0) entry of the plain (unconjugated) power T^k.  T is complex
+symmetric, so s_{i+j} = v_i^T v_j with v_j = T^j e_0, and h = ceil(rho/2)
+steps on rows 0..h of T give s_0..s_rho.  Second, a finitely atomic positive
+measure with prescribed moments s_0..s_rho, 2 rho + 2 atoms in all: one
+atom carries half of s_0 and all of s_1, and one circle of N = 2 rho + 1
+equally spaced atoms carries the other half and every remaining moment
+at once.  The circle's masses sample the positive trigonometric density
 1 + 2 Re sum_n conj(ct_n) z^n (Caratheodory-Toeplitz).  With N atoms the
 roots-of-unity sums kill every aliased term, so each prescribed moment
 holds exactly up to rounding.  A gap problem (one nonzero moment) is the
@@ -74,45 +75,41 @@ def extend_matrix(m: TridiagonalSymmetric, n: int) -> TridiagonalSymmetric:
     return TridiagonalSymmetric(diag, offdiag)
 
 
-def _tri_matvec(diag: np.ndarray, offdiag: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Fixed per-entry operation order so results are bit-identical across
-    # truncation sizes (the extra rows only ever contribute exact zeros).
-    out = diag * c
-    out[:-1] += offdiag * c[1:]
-    out[1:] += offdiag * c[:-1]
-    return out
-
-
 def spectral_moments(
     m: TridiagonalSymmetric, rho: int, trunc: int | None = None
 ) -> MomentSequence:
     """Moments s_k of the spectral functional of a class matrix.
 
-    s_k is the coefficient of p_0 in the p-basis expansion of lambda^k;
-    the coefficient vectors follow the same three-term pattern as the
-    extended matrix, so s_k is the (0,0) entry of its plain k-th power.
-    Any truncation size >= rho + 2 gives bit-identical results; the
-    recursion cannot reach the extra rows in rho steps.  Raises
-    ``PreconditionError`` when some s_k overflows float64.
+    s_k, the coefficient of p_0 in the p-basis expansion of lambda^k, is
+    the (0,0) entry of T^k for the extended matrix T.  As T^T = T,
+    s_{i+j} = v_i^T v_j with v_j = T^j e_0, so v_0..v_h, h = ceil(rho/2),
+    give s_{2j} = v_j^T v_j and s_{2j+1} = v_j^T v_{j+1}.  v_j lives on
+    rows 0..j, so only rows 0..h of T are read, and any truncation size
+    >= rho + 2 gives bit-identical results.  Raises ``PreconditionError``
+    when some s_k overflows float64.
     """
     ok, _, reason = is_class_matrix(m)
     if not ok:
         raise InputError(f"not a class matrix: {reason}")
     if rho < 1:
         raise InputError("rho must be at least 1")
-    if trunc is None:
-        trunc = rho + 2
+    trunc = rho + 2 if trunc is None else trunc
     if trunc < rho + 2:
         raise InputError(f"truncation size must be at least rho + 2 = {rho + 2}")
     ext = extend_matrix(m, max(trunc, m.dim))
-    c = np.zeros(ext.dim, dtype=np.complex128)
-    c[0] = 1.0
-    s = np.empty(rho + 1, dtype=np.complex128)
+    h = (rho + 1) // 2
+    diag, offdiag = ext.diag[: h + 1], ext.offdiag[:h]
+    v = np.zeros((h + 1, h + 1), dtype=np.complex128)  # row j is v_j on rows 0..h
+    v[0, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(rho + 1):
-            s[k] = c[0]
-            if k < rho:
-                c = _tri_matvec(ext.diag, ext.offdiag, c)
+        for cur, nxt in zip(v[:-1], v[1:]):  # nxt = T cur
+            np.multiply(diag, cur, out=nxt)
+            nxt[:-1] += offdiag * cur[1:]
+            nxt[1:] += offdiag * cur[:-1]
+        s = np.empty(2 * h + 1, dtype=np.complex128)
+        s[0::2] = np.sum(v * v, axis=1)
+        s[1::2] = np.sum(v[:-1] * v[1:], axis=1)
+    s = s[: rho + 1]
     if not np.isfinite(s).all():
         k = int(np.argmin(np.isfinite(s)))
         raise PreconditionError(f"float64 range exhausted at moment order {k}: s_{k} overflows")
@@ -121,11 +118,8 @@ def spectral_moments(
 
 @dataclass
 class CircleSolution:
-    """Atoms on the circle |z| = radius solving a gap moment problem.
-
-    Prescribed moments: s_0 at order 0, zero at orders 1..order-1, and
-    ``target`` at ``order``.
-    """
+    """Atoms on the circle |z| = radius with the gap moments s_0 at order 0,
+    zero at orders 1..order-1 and ``target`` at ``order``."""
 
     radius: float
     order: int
@@ -141,13 +135,9 @@ def solve_rho1(s0: float, s1: complex) -> AtomicMeasure:
 
 
 def toeplitz_solvability(ctilde: complex, rho: int) -> float:
-    """Determinant 1 - |ct|^2 of the gap-moment Toeplitz matrix.
-
-    The (rho+1) x (rho+1) Toeplitz matrix of the normalized circle problem
-    is the identity with ct and conj(ct) in the corners; a positive
-    determinant certifies solvability of the embedded truncated
-    trigonometric moment problem.
-    """
+    """Determinant 1 - |ct|^2 of the (rho+1) x (rho+1) Toeplitz matrix of the
+    normalized circle problem, the identity with ct and conj(ct) in the
+    corners; positive certifies the trigonometric moment problem solvable."""
     if rho < 2:
         raise InputError("rho must be at least 2")
     return 1.0 - abs(complex(ctilde)) ** 2

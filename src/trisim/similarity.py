@@ -12,6 +12,7 @@ basis vector.  Everything here is checked numerically at the atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .core import (
     AtomicMeasure,
     ConsistencyError,
     InputError,
+    PreconditionError,
     TridiagonalSymmetric,
     bilinear_gram,
 )
@@ -34,13 +36,27 @@ ORTHONORMALITY_TOL = 1e-8
 
 @dataclass
 class PolynomialFamily:
-    """Monomial coefficient rows of p_0..p_{n_max}; row n has degree exactly n."""
+    """The recurrence p_0 = 1, p_{n+1} = ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n
+    up to degree n_max, read off ``ext`` (at least n_max + 1 rows).  Its
+    monomial coefficient table is built on first read of ``coeffs``."""
 
-    coeffs: np.ndarray  # (n_max + 1, n_max + 1) lower triangular
+    ext: TridiagonalSymmetric = field(repr=False)
+    n_max: int
 
-    @property
-    def n_max(self) -> int:
-        return self.coeffs.shape[0] - 1
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Lower triangular; row n has degree exactly n, leading 1/(a_0 ... a_{n-1})."""
+        ext, n_max = self.ext, self.n_max
+        table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
+        table[0, 0] = 1.0
+        for n in range(n_max):
+            row = table[n + 1]
+            row[1:] = table[n, :-1]  # z * p_n; p_n has degree n < n_max
+            row -= ext.diag[n] * table[n]
+            if n > 0:
+                row -= ext.offdiag[n - 1] * table[n - 1]
+            row /= ext.offdiag[n]
+        return table
 
     def eval(self, n: int, z) -> np.ndarray:
         """Evaluate p_n from its coefficient row (the unstable path; used
@@ -52,29 +68,15 @@ class PolynomialFamily:
 
 
 def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
-    """Coefficient table of the recurrence polynomials up to degree n_max.
-
-    p_0 = 1 and p_{n+1} = ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n with the
-    coefficients taken from the extended matrix, or from ``m`` itself when
-    it already has n_max + 1 rows; the leading coefficient of p_n is forced
-    to 1/(a_0 ... a_{n-1}).
-    """
+    """The recurrence polynomials up to degree n_max, read off the extended
+    matrix, or off ``m`` itself when it already has n_max + 1 rows."""
     if n_max < 0:
         raise InputError("n_max must be non-negative")
     ext = m if m.dim > n_max else extend_matrix(m, n_max + 1)
-    for k in range(min(n_max, len(ext.offdiag))):
-        if abs(ext.offdiag[k]) < 1e-14:
-            raise InputError(f"cannot divide by a_{k} = 0 in the recurrence")
-    table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-    table[0, 0] = 1.0
-    for n in range(n_max):
-        row = table[n + 1]
-        row[1:] = table[n, :-1]  # z * p_n; p_n has degree n < n_max
-        row -= ext.diag[n] * table[n]
-        if n > 0:
-            row -= ext.offdiag[n - 1] * table[n - 1]
-        row /= ext.offdiag[n]
-    return PolynomialFamily(table)
+    small = np.flatnonzero(np.abs(ext.offdiag[:n_max]) < 1e-14)
+    if len(small):
+        raise InputError(f"cannot divide by a_{small[0]} = 0 in the recurrence")
+    return PolynomialFamily(ext, n_max)
 
 
 def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.ndarray:
@@ -110,11 +112,10 @@ def poly_of_operator_vector(
     if not 0 <= k <= d - 1:
         raise InputError(f"k must lie in 0..{d - 1}")
     a = m.dense()
-    e0 = np.zeros(d, dtype=np.complex128)
-    e0[0] = 1.0
     out = np.zeros(d, dtype=np.complex128)
     for c in family.coeffs[k, : k + 1][::-1]:
-        out = a @ out + c * e0
+        out = a @ out
+        out[0] += c  # + c e_0
     return out
 
 
@@ -137,6 +138,13 @@ class SimilarityData:
     poly_at_atoms: np.ndarray = field(repr=False, default=None)
 
 
+def _overflow(p: np.ndarray, n: int, what: str) -> PreconditionError:
+    return PreconditionError(
+        f"float64 range exhausted at polynomial degree {n}: {what} overflows "
+        f"at max|p_{n}| = {np.max(np.abs(p[n])):.3g}"
+    )
+
+
 def orthonormality_residuals(
     poly_at_atoms: np.ndarray, mu: AtomicMeasure, n_max: int
 ) -> np.ndarray:
@@ -144,9 +152,14 @@ def orthonormality_residuals(
 
     Entry (m, n) is |sum_j w_j p_n p_m - delta| divided by the largest
     magnitude entering that sum; the values at the circle atoms span many
-    decades, so the zero test must be relative.
+    decades, so the zero test must be relative.  Raises
+    ``PreconditionError`` naming the first degree whose scale overflows.
     """
-    gram, scales = bilinear_gram(poly_at_atoms[: n_max + 1], mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, scales = bilinear_gram(poly_at_atoms[: n_max + 1], mu)
+    if not np.isfinite(scales).all():  # entry (i, j) is at fault through degree max(i, j)
+        i, j = np.nonzero(~np.isfinite(scales))
+        raise _overflow(poly_at_atoms, int(np.min(np.maximum(i, j))), "a Gram scale")
     return np.abs(gram - np.eye(n_max + 1)) / np.maximum(1.0, scales)
 
 
@@ -184,10 +197,8 @@ def build_transform(
 
 
 def check_invertible(data: SimilarityData) -> float:
-    """Smallest singular value of the node matrix sqrt(m_j) p_k(z_j); > 0 means T invertible.
-
-    Only positivity is asserted.
-    """
+    """Smallest singular value of the node matrix sqrt(m_j) p_k(z_j); only
+    > 0, T invertible, is asserted."""
     v = np.sqrt(data.measure.masses)[:, None] * data.poly_at_atoms[: data.dim].T
     if v.shape[0] < data.dim:
         raise InputError("fewer atoms than the dimension; node matrix cannot have full rank")
@@ -226,17 +237,21 @@ def verify_similarity(
     their rounding and that ``data`` was built from ``m``, for any atoms.
     Only the bilinear orthonormality residual ties the measure to the
     moments, and a positive node-matrix sigma_min certifies T invertible.
+    Raises ``PreconditionError`` at the first degree whose scale overflows.
     """
     d = data.dim
     if m.dim != d:
         raise InputError(f"matrix has dimension {m.dim}, the transform {d}")
-    orth = float(np.max(orthonormality_residuals(data.poly_at_atoms, data.measure, d)))
-    sigma_min = check_invertible(data)
     p = data.poly_at_atoms
     w = data.measure.masses
-    diff = data.measure.atoms * p[:d]
-    diff[d - 1] -= data.rank_one_scale * p[d]
-    denom = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = data.measure.atoms * p[:d]
+        diff[d - 1] -= data.rank_one_scale * p[d]
+        denom = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=1))
+    if not np.isfinite(denom).all():
+        raise _overflow(p, int(np.argmin(np.isfinite(denom))), "the residual scale")
+    orth = float(np.max(orthonormality_residuals(p, data.measure, d)))
+    sigma_min = check_invertible(data)
     # the left side is subtracted term by term, so that at most two
     # d-by-n_atoms arrays are alive at once
     diff -= m.diag[:, None] * p[:d]

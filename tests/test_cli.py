@@ -344,6 +344,19 @@ class TestSimilarityCommand:
         err = capsys.readouterr().err
         assert "a_1" in err
 
+    def test_overflowing_polynomial_scale_exits_3(self, tmp_path):
+        # a_k shrunk past k = 60: the measure builds, but the residual scale
+        # of p_118 at the atoms overflows float64
+        m = random_class_matrix(1, 120)
+        offdiag = m.offdiag.copy()
+        offdiag[60:] *= 0.01
+        op = io.operator_to_json(TridiagonalSymmetric(m.diag, offdiag))
+        proc = run_fresh("similarity", "--input", write(tmp_path, "op.json", op))
+        assert proc.returncode == 3
+        assert "polynomial degree 118: the residual scale overflows at max|p_118| = " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_float64_exhaustion_exits_3(self, tmp_path):
         # the circle radius to the power rho = 513 would be 1e392
         op = tmp_path / "op.json"

@@ -28,13 +28,14 @@ CHAIN2 = TridiagonalSymmetric([0, 0], [1])
 
 
 def dense_power_oracle(m, rho, trunc):
-    """Independent route: (0,0) entry of plain powers of the truncation."""
+    """Independent route: (0,0) entry of plain powers of the truncation,
+    read off row 0 of each power, e_0^T J^k, by dense products."""
     j = extend_matrix(m, trunc).dense()
     out = [1.0 + 0j]
-    p = np.eye(trunc, dtype=complex)
+    row = np.eye(trunc, dtype=complex)[0]
     for _ in range(rho):
-        p = p @ j
-        out.append(complex(p[0, 0]))
+        row = row @ j
+        out.append(complex(row[0]))
     return np.array(out)
 
 
@@ -75,13 +76,14 @@ class TestSpectralMoments:
         assert spectral_moments(m, 1).values[1] == 1j
 
     def test_matches_dense_power_oracle(self):
+        # odd and even rho, below and past the matrix dimension
         for seed in range(10):
-            d = 2 + seed % 5
-            m = random_class_matrix(700 + seed, d)
-            rho = 2 * d + 1
-            got = spectral_moments(m, rho).values
-            want = dense_power_oracle(m, rho, rho + 2)
-            assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) < 1e-10
+            for d in (2 + seed % 5, 9, 16, 33, 64):
+                m = random_class_matrix(700 + seed, d)
+                for rho in (1, 2, 2 * d, 2 * d + 1, 3 * d + 7):
+                    got = spectral_moments(m, rho).values
+                    want = dense_power_oracle(m, rho, max(rho + 2, d))
+                    assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) < 1e-10
 
     def test_truncation_invariance_is_exact(self):
         for seed in range(50):
@@ -89,8 +91,16 @@ class TestSpectralMoments:
             m = random_class_matrix(800 + seed, d)
             rho = 2 * d + 1
             a = spectral_moments(m, rho, trunc=rho + 2).values
-            b = spectral_moments(m, rho, trunc=rho + 10).values
-            assert np.array_equal(a, b)
+            for trunc in (rho + 10, rho + 50):
+                assert np.array_equal(a, spectral_moments(m, rho, trunc=trunc).values)
+
+    @pytest.mark.parametrize("scale, order", [(1e100, 4), (1e150, 3)])
+    def test_names_the_first_overflowing_order(self, scale, order):
+        # |entries| near 1: s_k grows like scale^k, past 1e308 at this order
+        m = random_class_matrix(0, 4)
+        big = TridiagonalSymmetric(m.diag * scale, m.offdiag * scale)
+        with pytest.raises(PreconditionError, match=f"moment order {order}: s_{order} overflows"):
+            spectral_moments(big, 9)
 
     def test_rejects_non_class_matrix(self):
         with pytest.raises(InputError):
@@ -197,7 +207,7 @@ class TestCircle:
         # moments are subnormal: predicted before r^n underflows to 0
         m = random_class_matrix(1, 64)
         seq = spectral_moments(TridiagonalSymmetric(m.diag * 1e-3, m.offdiag * 1e-3), 129)
-        msg = r"precision exhausted at scale 1e-322 \(circle radius 0.00317, order 129\)"
+        msg = r"precision exhausted at scale 1e-322 \(circle radius 0.00318, order 129\)"
         with pytest.raises(PreconditionError, match=msg):
             algorithm1(seq)
 

@@ -78,6 +78,12 @@ class TestBuildPolynomials:
         with pytest.raises(InputError, match="a_0"):
             build_polynomials(TridiagonalSymmetric([1, 2], [0]), 2)
 
+    def test_zero_division_names_the_first_vanishing_a_k(self):
+        m = TridiagonalSymmetric(np.zeros(6), [1, 1, 1e-15, 1, 0])
+        with pytest.raises(InputError, match="a_2 = 0"):
+            build_polynomials(m, 5)
+        build_polynomials(m, 2)  # divides by a_0 and a_1 only
+
 
 class TestPolyOfOperatorVector:
     def test_k0_identity(self):
@@ -235,6 +241,15 @@ class TestVerifySimilarity:
         assert calls == [2 * 5 + 3, 5 + 1]
         assert np.array_equal(data.polys.coeffs, build_polynomials(m, 5).coeffs)
 
+    def test_coefficient_table_is_built_on_first_read(self):
+        # the library path evaluates the recurrence and never reads the table
+        m = random_class_matrix(36, 7)
+        data = build_transform(m)
+        assert verify_similarity(m, data).passed
+        assert "coeffs" not in vars(data.polys)
+        assert np.array_equal(data.polys.coeffs, build_polynomials(m, 7).coeffs)
+        assert "coeffs" in vars(data.polys)
+
 
 class TestSimilarityReport:
     @pytest.mark.parametrize(
@@ -361,3 +376,31 @@ class TestCheckInvertible:
         )
         with pytest.raises(InputError):
             check_invertible(tiny)
+
+
+class TestOverflowingScales:
+    @staticmethod
+    def decayed(factor):
+        # a_k shrunk past k = 60 sends |p_n| at the atoms past 1e150
+        m = random_class_matrix(1, 120)
+        offdiag = m.offdiag.copy()
+        offdiag[60:] *= factor
+        return TridiagonalSymmetric(m.diag, offdiag)
+
+    @pytest.mark.parametrize("factor, degree", [(0.01, 118), (1e-3, 100)])
+    def test_verify_similarity_names_the_degree(self, factor, degree):
+        m = self.decayed(factor)
+        data = build_transform(m)
+        with pytest.raises(
+            PreconditionError,
+            match=f"polynomial degree {degree}: the residual scale overflows at max.p_{degree}. = ",
+        ):
+            verify_similarity(m, data)
+
+    def test_orthonormality_residuals_names_the_degree(self):
+        data = build_transform(self.decayed(0.01))
+        # the first entries to overflow, (117, 119) and (118, 119), pair
+        # p_119 with lower degrees; no entry within degrees 0..118 overflows
+        with pytest.raises(PreconditionError, match="polynomial degree 119: a Gram scale overflows"):
+            orthonormality_residuals(data.poly_at_atoms, data.measure, 120)
+        assert np.isfinite(orthonormality_residuals(data.poly_at_atoms, data.measure, 118)).all()
