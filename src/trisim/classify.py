@@ -8,6 +8,8 @@ conjugation fixing the cyclic vector), and the sufficiency proof is
 constructive -- Gram-Schmidt plus a phase fix.  One QR of the Krylov
 matrix, diag(R) real and positive, serves both: the Gram determinants are
 read off Q and R, and ``canonicalize`` rotates Q into the canonical basis.
+The latest factorization is kept, keyed on the full input content, so the
+criterion and then the construction on one input factor once.
 """
 
 from __future__ import annotations
@@ -113,11 +115,12 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
 
 def _krylov(a: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     """Columns x0, A x0, ..., A^{n-1} x0; an overflow leaves inf or nan."""
-    cols = [x0]
+    k = np.empty((n, len(x0)), dtype=np.complex128)  # row i holds A^i x0
+    k[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n - 1):
-            cols.append(a @ cols[-1])
-    return np.column_stack(cols)
+        for i in range(1, n):
+            np.matmul(a, k[i - 1], out=k[i])
+    return k.T.copy()
 
 
 def _scaled_columns(k: np.ndarray, power: str = "A") -> np.ndarray:
@@ -154,9 +157,10 @@ def check_cyclic(a, x0) -> float:
 
 def _krylov_qr(
     a: np.ndarray, x0: np.ndarray, j: ConjugationMap, tol: float
-) -> tuple[np.ndarray, GramReport]:
+) -> tuple[np.ndarray, tuple[tuple[int, complex], ...]]:
     """Q of the unit Krylov matrix K = QR, diag(R) real and positive, and
-    the Gram report read off it, for x0 scaled to largest entry in [1, 2).
+    the pairs (n, Gamma_n) read off it, for x0 scaled to largest entry in
+    [1, 2).  Q is read-only.
 
     With y_n the unit (A^*)^n x0, Gamma_n = prod_{i<=n} r_ii^2 *
     sum_{i>n} |(Q^H y_n)_i|^2: the Gram determinant of k_0..k_n times the
@@ -182,12 +186,34 @@ def _krylov_qr(
     q, r = np.linalg.qr(k / np.linalg.norm(k, axis=0))
     r_diag = np.diagonal(r)
     q *= r_diag / np.abs(r_diag)
+    q.flags.writeable = False
     y_norms = np.linalg.norm(y, axis=0)
     y /= np.where(y_norms > 0, y_norms, 1.0)
     # column n - 1 sums |(Q^H y_n)_l|^2 over l > n
     dist = np.tril(np.abs(q.conj().T @ y) ** 2, -2).sum(axis=0)
     gammas = np.cumprod(np.abs(r_diag) ** 2)[1:] * dist
-    return q, GramReport(values=[(n, complex(g)) for n, g in enumerate(gammas, 1)], tol=tol)
+    return q, tuple(enumerate(map(complex, gammas.tolist()), 1))
+
+
+# The latest ``_krylov_qr``, as (key, result); the key is the full content
+# of (A, x0, C, tol), so an input edited in place is factored again.  One
+# entry: the only hit is a second call on the input just factored.
+_last_qr: tuple = (None, None)
+
+
+def _memo_krylov_qr(
+    a: np.ndarray, x0: np.ndarray, j: ConjugationMap, tol: float
+) -> tuple[np.ndarray, GramReport]:
+    """``_krylov_qr`` of the latest input, computed once per input content,
+    and a fresh ``GramReport`` of it.  A failing input is not kept, so it
+    raises on every call."""
+    global _last_qr
+    key = (a.shape, tol, a.tobytes(), x0.tobytes(), j.matrix.tobytes())
+    last = _last_qr  # one read: a concurrent call cannot swap the entry under the key test
+    if last[0] != key:
+        last = _last_qr = (key, _krylov_qr(a, x0, j, tol))
+    q, values = last[1]
+    return q, GramReport(values=list(values), tol=tol)
 
 
 def gram_condition_check(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> GramReport:
@@ -197,8 +223,10 @@ def gram_condition_check(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> 
     x0 and x0 is cyclic; both hypotheses are checked first.  Gamma_n is
     read off the QR that ``canonicalize`` takes its basis from, with x0
     scaled to largest entry in [1, 2), so it does not depend on the scale of x0.
+    That QR is computed once per input content: ``canonicalize`` on the
+    same (a, x0, j, tol) next reuses it.
     """
-    return _krylov_qr(as_complex_matrix(a, "A"), as_complex_vector(x0, "x0"), j, tol)[1]
+    return _memo_krylov_qr(as_complex_matrix(a, "A"), as_complex_vector(x0, "x0"), j, tol)[1]
 
 
 def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> CanonicalForm:
@@ -210,7 +238,9 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     condition forces J g_r = e^{i phi_r} g_r, and the half-phase rotation
     u_r = e^{i phi_r / 2} g_r makes every basis vector J-fixed.  The matrix
     of A in the u-basis is then extracted and verified to lie in the class.
-    Every check is judged at ``tol``.
+    Every check is judged at ``tol``.  The QR is computed once per input
+    content: right after ``gram_condition_check`` on the same (a, x0, j,
+    tol) it is reused, not recomputed.
     """
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
@@ -218,7 +248,7 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     res = verify_j_symmetric(a, j, tol)
     if res > tol:
         raise PreconditionError(f"A is not J-symmetric (relative residual {res:.3e})")
-    g, report = _krylov_qr(a, x0, j, tol)
+    g, report = _memo_krylov_qr(a, x0, j, tol)
     if not report.passed:
         raise PreconditionError(
             "Gram-determinant condition fails "

@@ -133,7 +133,6 @@ class SimilarityData:
     polys: PolynomialFamily
     dim: int
     rank_one_scale: complex  # a_{d-1} of the extended matrix
-    extended: TridiagonalSymmetric = field(repr=False)  # extended to d + 1 rows
     # values p_n(z_j), n = 0..d, at the atoms (recurrence path)
     poly_at_atoms: np.ndarray = field(repr=False, default=None)
 
@@ -191,7 +190,6 @@ def build_transform(
         polys=build_polynomials(ext, d),
         dim=d,
         rank_one_scale=complex(ext.offdiag[d - 1]),
-        extended=ext,
         poly_at_atoms=eval_recurrence(ext, d, mu.atoms),
     )
 

@@ -193,7 +193,6 @@ def test_criterion_6_negative_controls(capsys):
         polys=data.polys,
         dim=data.dim,
         rank_one_scale=data.rank_one_scale,
-        extended=data.extended,
         poly_at_atoms=data.poly_at_atoms,
     )
     ok = (

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from trisim import classify
 from trisim.classify import (
     canonicalize,
     check_cyclic,
@@ -346,3 +347,131 @@ class TestCanonicalize:
         a = np.array([[1, 1], [0, 2]], dtype=complex)
         with pytest.raises(PreconditionError):
             canonicalize(a, e0(2), ConjugationMap.standard(2))
+
+
+def criterion5_triple(seed):
+    """The unitarily disguised member of acceptance criterion 5 at ``seed``."""
+    d = 2 + seed % 5
+    m = random_class_matrix(3000 + seed, d)
+    rng = np.random.default_rng(9000 + seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q @ m.dense() @ q.conj().T, q[:, 0], ConjugationMap(q @ q.T)
+
+
+class TestKrylovMemo:
+    """gram_condition_check then canonicalize on one input factor the Krylov
+    matrix once; the kept factorization is never stale and never shared."""
+
+    @pytest.fixture(autouse=True)
+    def factorizations(self, monkeypatch):
+        # start from an empty memo and count the factorizations that run
+        calls = []
+        factor = classify._krylov_qr
+
+        def counted(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(classify, "_last_qr", (None, None))
+        monkeypatch.setattr(classify, "_krylov_qr", counted)
+        return calls
+
+    def test_one_factorization_per_input(self, factorizations):
+        a, x0, j = criterion5_triple(3)
+        assert gram_condition_check(a, x0, j, 1e-8).passed
+        canonicalize(a, x0, j, 1e-8)
+        assert len(factorizations) == 1
+        b, y0, k = criterion5_triple(4)
+        gram_condition_check(b, y0, k, 1e-8)
+        canonicalize(b, y0, k, 1e-8)
+        assert len(factorizations) == 2
+
+    def test_holds_one_entry(self, factorizations):
+        first, second = criterion5_triple(3), criterion5_triple(4)
+        for triple in (first, second, first):
+            gram_condition_check(*triple)
+        assert len(factorizations) == 3
+
+    def test_keyed_on_content_not_identity(self, factorizations):
+        a, x0, j = criterion5_triple(5)
+        gram_condition_check(a, x0, j, 1e-8)
+        canonicalize(a.copy(), x0.copy(), ConjugationMap(j.matrix.copy()), 1e-8)
+        assert len(factorizations) == 1
+
+    def test_other_tol_x0_or_j_recomputes(self, factorizations):
+        d = 4
+        a = random_class_matrix(7, d).dense()
+        std = ConjugationMap.standard(d)
+        flip = ConjugationMap(np.diag([1, -1, 1, -1]).astype(complex))  # also fixes e0
+        gram_condition_check(a, e0(d), std, 1e-8)
+        gram_condition_check(a, e0(d), std, 1e-9)
+        gram_condition_check(a, 2 * e0(d), std, 1e-9)
+        gram_condition_check(a, 2 * e0(d), flip, 1e-9)
+        assert [args[3] for args in factorizations] == [1e-8, 1e-9, 1e-9, 1e-9]
+        assert len(factorizations) == 4
+
+    def test_sees_in_place_edit(self, factorizations):
+        # the same array object, turned into a non-member between the calls:
+        # canonicalize must see the edit and reject the Gram condition, as a
+        # fresh call does, not reuse the member's basis
+        d = 5
+        a = random_class_matrix(8, d).dense()
+        j = ConjugationMap.standard(d)
+        assert gram_condition_check(a, e0(d), j).passed
+        a[0, 2] = a[2, 0] = 0.7  # still complex symmetric, no longer tridiagonal
+        with pytest.raises(PreconditionError, match="Gram-determinant condition fails"):
+            canonicalize(a, e0(d), j)
+        assert not gram_condition_check(a, e0(d), j).passed
+        assert len(factorizations) == 2
+
+    def test_report_is_not_shared(self, factorizations):
+        a, x0, j = criterion5_triple(6)
+        first = gram_condition_check(a, x0, j)
+        want = list(first.values)
+        first.values[0] = (1, 5.0 + 0j)
+        first.values.clear()
+        second = gram_condition_check(a, x0, j)
+        assert second.values == want and second.values is not first.values
+        assert second.passed
+        assert len(factorizations) == 1
+
+    def test_kept_q_is_read_only_and_not_aliased(self):
+        a, x0, j = criterion5_triple(7)
+        q, _ = classify._memo_krylov_qr(a, x0, j, 1e-8)
+        with pytest.raises(ValueError):
+            q[0, 0] = 1.0
+        basis = canonicalize(a, x0, j, 1e-8).basis
+        assert not np.shares_memory(basis, q)
+        basis[0, 0] = 1.0  # the caller's basis is its own, and writable
+        assert classify._memo_krylov_qr(a, x0, j, 1e-8)[0][0, 0] != 1.0
+
+    def test_failing_input_raises_on_every_call(self, factorizations):
+        j = ConjugationMap.standard(2)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="x0"):
+                gram_condition_check(CHAIN2, np.array([1j, 0]), j)
+        a = np.eye(2, dtype=complex) + np.diag([0, 1e-30])
+        for call in (gram_condition_check, canonicalize, gram_condition_check):
+            with pytest.raises(PreconditionError, match="cyclic"):
+                call(a, e0(2), j)
+        assert len(factorizations) == 5
+
+    def test_parity_with_a_fresh_factorization(self, monkeypatch):
+        # on the 100 criterion-5 inputs each call gives the same bits whether
+        # or not the other call on the same input came first
+        def fresh(call, *args):
+            monkeypatch.setattr(classify, "_last_qr", (None, None))
+            return call(*args)
+
+        def bits(form):
+            return [form.basis.tobytes(), form.matrix.diag.tobytes(),
+                    form.matrix.offdiag.tobytes(), form.phases.tobytes()]
+
+        for seed in range(100):
+            args = (*criterion5_triple(seed), 1e-8)
+            gram_alone = repr(fresh(gram_condition_check, *args).values)
+            form_alone = bits(fresh(canonicalize, *args))
+            fresh(gram_condition_check, *args)
+            assert bits(canonicalize(*args)) == form_alone
+            fresh(canonicalize, *args)
+            assert repr(gram_condition_check(*args).values) == gram_alone

@@ -201,7 +201,6 @@ class TestVerifySimilarity:
             polys=chain_data.polys,
             dim=chain_data.dim,
             rank_one_scale=chain_data.rank_one_scale,
-            extended=chain_data.extended,
             poly_at_atoms=chain_data.poly_at_atoms,
         )
         assert not verify_similarity(CHAIN2, corrupted).passed
@@ -317,7 +316,6 @@ class TestCheckInvertible:
             polys=data.polys,
             dim=2,
             rank_one_scale=data.rank_one_scale,
-            extended=data.extended,
             poly_at_atoms=fake[:, :2],
         )
         sham.measure = type(data.measure)(
@@ -336,7 +334,6 @@ class TestCheckInvertible:
             polys=data.polys,
             dim=2,
             rank_one_scale=data.rank_one_scale,
-            extended=data.extended,
             poly_at_atoms=fake[:, :2],
         )
         report = verify_similarity(m, sham)
@@ -356,7 +353,6 @@ class TestCheckInvertible:
             polys=data.polys,
             dim=2,
             rank_one_scale=data.rank_one_scale,
-            extended=data.extended,
             poly_at_atoms=data.poly_at_atoms[:, :2],
         )
         assert check_invertible(small) > 0
@@ -371,7 +367,6 @@ class TestCheckInvertible:
             polys=data.polys,
             dim=3,
             rank_one_scale=data.rank_one_scale,
-            extended=data.extended,
             poly_at_atoms=data.poly_at_atoms[:, :2],
         )
         with pytest.raises(InputError):
