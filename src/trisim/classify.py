@@ -29,6 +29,7 @@ from .core import (
     as_complex_matrix,
     as_complex_vector,
     rel_zero,
+    require_finite,
 )
 
 CYCLIC_RANK_TOL = 1e-8
@@ -127,9 +128,7 @@ def _scaled_columns(k: np.ndarray, power: str = "A") -> np.ndarray:
     """Krylov columns k scaled to largest entry 1, as ||A^j x0|| grows like
     ||A||^j; a zero column stays zero.  Raises if some column overflowed."""
     scales = np.abs(k).max(axis=0)
-    if not np.isfinite(scales).all():
-        j = int(np.argmin(np.isfinite(scales)))
-        raise PreconditionError(f"float64 range exhausted at Krylov order {j}: {power}^{j} x0 overflows")
+    require_finite(scales, lambda j: f"Krylov order {j}: {power}^{j} x0 overflows")
     return k / np.where(scales > 0, scales, 1.0)
 
 
@@ -146,13 +145,6 @@ def _require_cyclic(k: np.ndarray) -> float:
             f"(sigma_min/sigma_max = {ratio:.3e})"
         )
     return ratio
-
-
-def check_cyclic(a, x0) -> float:
-    """sigma_min / sigma_max of the column-scaled Krylov matrix; raises if not cyclic."""
-    a = as_complex_matrix(a, "A")
-    x0 = as_complex_vector(x0, "x0")
-    return _require_cyclic(_scaled_columns(_krylov(a, x0, a.shape[0])))
 
 
 def _krylov_qr(

@@ -77,6 +77,12 @@ def _require_class(op) -> TridiagonalSymmetric:
     return tri
 
 
+def _residual_report(residuals: np.ndarray, output: str | None, tol: float) -> int:
+    """Write the moment residuals and their max; pass when the max is within tol."""
+    io.dump_json({"residuals": residuals.tolist(), "max_residual": float(residuals.max())}, output)
+    return EXIT_PASS if residuals.max() <= tol else EXIT_VERIFICATION
+
+
 def cmd_classify(args) -> int:
     obj, op = _load_operator(args)
     ok, tri, reason = is_class_matrix(op, args.tol)
@@ -148,11 +154,7 @@ def cmd_solve(args) -> int:
     io.dump_json(io.measure_to_json(mu), args.output)
     if args.output is not None:
         io.measure_to_csv(mu, args.output + ".csv")
-    io.dump_json(
-        {"residuals": residuals.tolist(), "max_residual": float(residuals.max())},
-        None,
-    )
-    return EXIT_PASS if residuals.max() <= args.tol else EXIT_VERIFICATION
+    return _residual_report(residuals, None, args.tol)
 
 
 def cmd_similarity(args) -> int:
@@ -182,12 +184,7 @@ def cmd_verify(args) -> int:
         raise InputError("verify input must contain 'measure' and 'moments' objects")
     mu = io.measure_from_json(obj["measure"])
     seq = io.moments_from_json(obj["moments"])
-    residuals = verify_measure(mu, seq)
-    io.dump_json(
-        {"residuals": residuals.tolist(), "max_residual": float(residuals.max())},
-        args.output,
-    )
-    return EXIT_PASS if residuals.max() <= args.tol else EXIT_VERIFICATION
+    return _residual_report(verify_measure(mu, seq), args.output, args.tol)
 
 
 def cmd_gen(args) -> int:

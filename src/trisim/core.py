@@ -50,6 +50,14 @@ def as_complex_vector(v, name: str = "vector") -> np.ndarray:
     return a
 
 
+def require_finite(values, where) -> None:
+    """The float64-range guard: raises ``PreconditionError`` at the first inf
+    or nan entry k of ``values``, where(k) naming the quantity and order k."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise PreconditionError("float64 range exhausted at " + where(int(np.argmin(finite))))
+
+
 def rel_zero(x: float, scale: float, tol: float = DEFAULT_TOL) -> bool:
     """Relative zero test |x| <= tol * max(1, scale): powers of the circle
     radius span many decades, so every "equals zero" decision is relative
@@ -220,6 +228,8 @@ def random_class_matrix(seed: int, d: int) -> TridiagonalSymmetric:
     the annulus 0.5 <= |a| <= 2 (so membership holds by construction)."""
     if d < 2:
         raise InputError("dimension must be at least 2")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     diag = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
     radii = np.sqrt(rng.uniform(0.25, 4.0, d - 1))

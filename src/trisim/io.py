@@ -124,16 +124,25 @@ def dump_json(obj: dict, path: str | None) -> None:
     if path is None:
         print(text)
     else:
+        _write(path, text + "\n")
+
+
+def _write(path: str, text: str) -> None:
+    try:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from None
 
 
 def load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON in {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({e})") from None
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
     if not isinstance(obj, dict):
@@ -143,7 +152,5 @@ def load_json(path: str) -> dict:
 
 def measure_to_csv(mu: AtomicMeasure, path: str) -> None:
     """Plot-ready atom table: one `re,im,mass` row per atom."""
-    with open(path, "w") as fh:
-        fh.write("re,im,mass\n")
-        for z, m in zip(mu.atoms.tolist(), mu.masses.tolist()):
-            fh.write(f"{z.real!r},{z.imag!r},{m!r}\n")
+    rows = zip(mu.atoms.tolist(), mu.masses.tolist())
+    _write(path, "re,im,mass\n" + "".join(f"{z.real!r},{z.imag!r},{m!r}\n" for z, m in rows))

@@ -30,6 +30,7 @@ from .core import (
     PreconditionError,
     TridiagonalSymmetric,
     as_complex_vector,
+    require_finite,
 )
 from .classify import is_class_matrix
 
@@ -110,9 +111,7 @@ def spectral_moments(
         s[0::2] = np.sum(v * v, axis=1)
         s[1::2] = np.sum(v[:-1] * v[1:], axis=1)
     s = s[: rho + 1]
-    if not np.isfinite(s).all():
-        k = int(np.argmin(np.isfinite(s)))
-        raise PreconditionError(f"float64 range exhausted at moment order {k}: s_{k} overflows")
+    require_finite(s, lambda k: f"moment order {k}: s_{k} overflows")
     return MomentSequence(rho=rho, values=s)
 
 
@@ -325,19 +324,14 @@ def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
     over k, so an absolute residual would be meaningless at high orders.  Raises
     ``PreconditionError`` when max|z|^k * total mass overflows float64.
     """
-    zmax = float(np.max(np.abs(mu.atoms)))
+    zmax = np.max(np.abs(mu.atoms))  # np.float64, so zmax**k overflows to inf
     mass = mu.total_mass
+    with np.errstate(over="ignore"):
+        bounds = [zmax**k * mass for k in range(seq.rho + 1)]
+    require_finite(bounds, lambda k: f"moment order {k}: max|z| {zmax:.6g} to the power "
+                   f"{k} times total mass {mass:.6g} overflows")
     out = np.empty(seq.rho + 1)
-    for k in range(seq.rho + 1):
-        try:
-            bound = zmax**k * mass
-        except OverflowError:  # from zmax**k; an overflowing product gives inf
-            bound = np.inf
-        if bound == np.inf:
-            raise PreconditionError(
-                f"float64 range exhausted at moment order {k}: max|z| {zmax:.6g} "
-                f"to the power {k} times total mass {mass:.6g} overflows"
-            )
+    for k, bound in enumerate(bounds):
         target = seq.values[k]
         scale = max(1.0, abs(target), bound)
         out[k] = abs(mu.moment(k) - target) / scale

@@ -20,9 +20,9 @@ from .core import (
     AtomicMeasure,
     ConsistencyError,
     InputError,
-    PreconditionError,
     TridiagonalSymmetric,
     bilinear_gram,
+    require_finite,
 )
 from .moments import (
     RadiusSchedule,
@@ -137,13 +137,6 @@ class SimilarityData:
     poly_at_atoms: np.ndarray = field(repr=False, default=None)
 
 
-def _overflow(p: np.ndarray, n: int, what: str) -> PreconditionError:
-    return PreconditionError(
-        f"float64 range exhausted at polynomial degree {n}: {what} overflows "
-        f"at max|p_{n}| = {np.max(np.abs(p[n])):.3g}"
-    )
-
-
 def orthonormality_residuals(
     poly_at_atoms: np.ndarray, mu: AtomicMeasure, n_max: int
 ) -> np.ndarray:
@@ -156,9 +149,9 @@ def orthonormality_residuals(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram, scales = bilinear_gram(poly_at_atoms[: n_max + 1], mu)
-    if not np.isfinite(scales).all():  # entry (i, j) is at fault through degree max(i, j)
-        i, j = np.nonzero(~np.isfinite(scales))
-        raise _overflow(poly_at_atoms, int(np.min(np.maximum(i, j))), "a Gram scale")
+    # by Cauchy-Schwarz, entry (i, j) overflows only if (i, i) or (j, j) does
+    require_finite(np.diagonal(scales), lambda n: f"polynomial degree {n}: a Gram scale "
+                   f"overflows at max|p_{n}| = {np.max(np.abs(poly_at_atoms[n])):.3g}")
     return np.abs(gram - np.eye(n_max + 1)) / np.maximum(1.0, scales)
 
 
@@ -246,8 +239,8 @@ def verify_similarity(
         diff = data.measure.atoms * p[:d]
         diff[d - 1] -= data.rank_one_scale * p[d]
         denom = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=1))
-    if not np.isfinite(denom).all():
-        raise _overflow(p, int(np.argmin(np.isfinite(denom))), "the residual scale")
+    require_finite(denom, lambda n: f"polynomial degree {n}: the residual scale overflows "
+                   f"at max|p_{n}| = {np.max(np.abs(p[n])):.3g}")
     orth = float(np.max(orthonormality_residuals(p, data.measure, d)))
     sigma_min = check_invertible(data)
     # the left side is subtracted term by term, so that at most two

@@ -6,7 +6,6 @@ import pytest
 from trisim import classify
 from trisim.classify import (
     canonicalize,
-    check_cyclic,
     gram_condition_check,
     is_class_matrix,
     verify_j_symmetric,
@@ -209,9 +208,10 @@ class TestGramCondition:
 
 class TestCyclicityGuard:
     def test_class_members_are_cyclic_from_e0(self):
+        # the criterion checks cyclicity before any Gram determinant
         for seed in range(10):
             m = random_class_matrix(100 + seed, 4)
-            assert check_cyclic(m.dense(), e0(4)) > 1e-8
+            gram_condition_check(m.dense(), e0(4), ConjugationMap.standard(4))
 
     @pytest.mark.parametrize("seed", [22, 24, 25, 45, 46, 56])
     def test_growing_krylov_columns_stay_cyclic(self, seed):
@@ -226,12 +226,12 @@ class TestCyclicityGuard:
         assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-7
 
     def test_zero_krylov_column_has_ratio_zero(self):
-        with pytest.raises(PreconditionError, match=r"= 0\.000e\+00"):
-            check_cyclic(CHAIN2, np.zeros(2))
+        with pytest.raises(PreconditionError, match=r"cyclic.* = 0\.000e\+00"):
+            gram_condition_check(CHAIN2, np.zeros(2), ConjugationMap.standard(2))
         # A e_1 = e_0 and A^2 e_1 = 0
         nilpotent = np.diag(np.ones(2), 1)
-        with pytest.raises(PreconditionError, match=r"= 0\.000e\+00"):
-            check_cyclic(nilpotent, np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(PreconditionError, match=r"cyclic.* = 0\.000e\+00"):
+            gram_condition_check(nilpotent, np.array([0.0, 1.0, 0.0]), ConjugationMap.standard(3))
 
 
 class TestCanonicalize:

@@ -80,6 +80,11 @@ class TestGen:
     def test_rejects_d_below_two(self):
         assert main(["gen", "--seed", "1", "--d", "1"]) == 2
 
+    def test_rejects_negative_seed(self, capsys):
+        # numpy's generator would reject it with a ValueError traceback
+        assert main(["gen", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
     def test_annulus_bounds(self):
         m = random_class_matrix(123, 8)
         mags = np.abs(m.offdiag)
@@ -521,6 +526,37 @@ class TestRoundTrip:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestFileErrors:
+    def test_non_utf8_input_exits_2(self, tmp_path):
+        p = tmp_path / "op.json"
+        p.write_bytes(b"\xff" + Path(chain_file(tmp_path)).read_bytes())
+        proc = run_fresh("classify", "--input", str(p))
+        assert proc.returncode == 2
+        assert f"error: cannot read {p}: not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, output, unwritable",
+        [
+            ("similarity", "nodir/out.json", "nodir/out.json"),
+            ("solve", "nodir/out.json", "nodir/out.json"),
+            # the JSON is written, but a directory takes the name of its CSV table
+            ("solve", "out.json", "out.json.csv"),
+        ],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, command, output, unwritable):
+        if output != unwritable:
+            (tmp_path / unwritable).mkdir()
+        if command == "similarity":
+            inp = chain_file(tmp_path)
+        else:
+            inp = write(tmp_path, "s.json", {"rho": 2, "s": [[1, 0], [0, 0], [1, 0]]})
+        proc = run_fresh(command, "--input", inp, "--output", str(tmp_path / output))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {tmp_path / unwritable}: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestParser:

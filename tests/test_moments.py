@@ -388,6 +388,28 @@ class TestVerifyMeasure:
         # itself moved by the same 1e-3)
         assert verify_measure(mu, seq)[0] == pytest.approx(1e-3, rel=2e-3)
 
+    def test_residuals_are_the_per_order_scalar_formula(self):
+        # pinned bit for bit: numpy's array ** and complex abs differ from the
+        # scalar ones in the last bit, so a vectorized residual fails here
+        cases = []
+        for seed in range(40):
+            seq = spectral_moments(random_class_matrix(seed, 2 + seed), 2 * seed + 5)
+            cases.append((algorithm1(seq), seq))
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n, rho = rng.integers(1, 16), rng.integers(1, 30)
+            atoms = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10 ** rng.uniform(-2, 2)
+            s = rng.standard_normal(rho + 1) + 1j * rng.standard_normal(rho + 1)
+            s[0] = rng.uniform(0.1, 10)
+            cases.append((AtomicMeasure(atoms, rng.uniform(0.01, 5, n)), MomentSequence(rho, s)))
+        for mu, seq in cases:
+            zmax, mass = float(np.max(np.abs(mu.atoms))), mu.total_mass
+            want = [
+                abs(mu.moment(k) - s_k) / max(1, abs(s_k), zmax**k * mass)
+                for k, s_k in enumerate(seq.values)
+            ]
+            assert np.array_equal(verify_measure(mu, seq), want)
+
 
 class TestMomentSequence:
     def test_rejects_nonpositive_s0(self):
