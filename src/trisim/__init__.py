@@ -10,7 +10,6 @@ from .core import (
     ConsistencyError,
     TridiagonalSymmetric,
     bilinear_gram,
-    gram_det,
 )
 from .classify import (
     CanonicalForm,

@@ -162,6 +162,7 @@ def cmd_similarity(args) -> int:
     tri = _require_class(op)
     data = build_transform(tri, rho=args.rho, schedule=_schedule(args))
     report = verify_similarity(tri, data, args.tol)
+    failures = report.failures
     out = {
         "measure": io.measure_to_json(data.measure),
         "polynomials": [
@@ -172,10 +173,13 @@ def cmd_similarity(args) -> int:
         "orthonormality_residual": report.orthonormality,
         "residuals": report.residuals.tolist(),
         "max_residual": report.max_residual,
-        "passed": report.passed,
+        "passed": not failures,
     }
     io.dump_json(out, args.output)
-    return EXIT_PASS if report.passed else EXIT_VERIFICATION
+    if failures:
+        print("verification failed: " + "; ".join(failures), file=sys.stderr)
+        return EXIT_VERIFICATION
+    return EXIT_PASS
 
 
 def cmd_verify(args) -> int:

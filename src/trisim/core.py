@@ -190,23 +190,6 @@ def bilinear_gram(values, mu: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
     return (p * mu.masses) @ p.T, (ap * mu.masses) @ ap.T
 
 
-def gram_det(vectors) -> complex:
-    """Determinant of the Gram matrix [(y_k, y_l)] (second slot conjugated).
-
-    Computed through a pivoted LU factorization of the Gram matrix, not
-    cofactor expansion.
-    """
-    if len(vectors) == 0:
-        raise InputError("gram_det needs at least one vector")
-    vs = [as_complex_vector(v) for v in vectors]
-    n = len(vs[0])
-    if any(len(v) != n for v in vs):
-        raise InputError("all vectors must have the same dimension")
-    v = np.array(vs)
-    g = v @ v.conj().T
-    return complex(np.linalg.det(g))
-
-
 @dataclass
 class GramReport:
     """Gram determinants Gamma_n, n = 1..d-1, of unit vectors: each lies in

@@ -322,7 +322,9 @@ def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
     The denominator max(1, |s_k|, max|z|^k * total mass) reflects the
     largest magnitude entering the atom sum; max|z|^k spans many decades
     over k, so an absolute residual would be meaningless at high orders.  Raises
-    ``PreconditionError`` when max|z|^k * total mass overflows float64.
+    ``PreconditionError`` when max|z|^k * total mass overflows float64; a
+    difference that overflows while both terms are finite is taken after
+    dividing each by the denominator instead.
     """
     zmax = np.max(np.abs(mu.atoms))  # np.float64, so zmax**k overflows to inf
     mass = mu.total_mass
@@ -330,9 +332,15 @@ def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
         bounds = [zmax**k * mass for k in range(seq.rho + 1)]
     require_finite(bounds, lambda k: f"moment order {k}: max|z| {zmax:.6g} to the power "
                    f"{k} times total mass {mass:.6g} overflows")
-    out = np.empty(seq.rho + 1)
-    for k, bound in enumerate(bounds):
-        target = seq.values[k]
-        scale = max(1.0, abs(target), bound)
-        out[k] = abs(mu.moment(k) - target) / scale
+    # only the subtraction runs with overflow ignored; an overflow in a scale
+    # or a moment still reaches the caller's error state
+    targets = seq.values
+    scales = [max(1.0, abs(target), bound) for target, bound in zip(targets, bounds)]
+    moments = [mu.moment(k) for k in range(seq.rho + 1)]
+    with np.errstate(over="ignore"):
+        out = np.array([abs(m - t) / s for m, t, s in zip(moments, targets, scales)])
+    for k in np.flatnonzero(out == np.inf):
+        if np.isfinite(moments[k]) and np.isfinite(targets[k]):
+            # two finite values near the float64 limit: scale before subtracting
+            out[k] = abs(moments[k] / scales[k] - targets[k] / scales[k])
     return out

@@ -32,6 +32,14 @@ from .moments import (
 )
 
 ORTHONORMALITY_TOL = 1e-8
+# T counts as invertible when the node matrix with unit-norm columns has
+# sigma_min above this, that is condition number below 1e10, so float64
+# keeps T^-1 to about cond * eps = 2e-6; an exactly rank-deficient one
+# reads below 1e-15 by SVD (its rounding, about sqrt(d) eps)
+INVERTIBILITY_FLOOR = 1e-10
+# the Hermitian Gram resolves sigma_min only to about sqrt(d eps), 2.2e-7
+# at d = 224, so a value it reads below this is taken again by SVD
+_GRAM_CUT = 1e-5
 
 
 @dataclass
@@ -166,7 +174,7 @@ def build_transform(
     ``algorithm1`` (one atom and one circle), and the polynomial family up
     to degree d.  Class membership is checked by ``spectral_moments``; the
     bilinear orthonormality and the rank of the node matrix are judged by
-    ``verify_similarity``, against the caller's tol.
+    ``verify_similarity``.
     """
     d = m.dim
     if rho is None:
@@ -188,11 +196,30 @@ def build_transform(
 
 
 def check_invertible(data: SimilarityData) -> float:
-    """Smallest singular value of the node matrix sqrt(m_j) p_k(z_j); only
-    > 0, T invertible, is asserted."""
-    v = np.sqrt(data.measure.masses)[:, None] * data.poly_at_atoms[: data.dim].T
-    if v.shape[0] < data.dim:
+    """Smallest singular value of the node matrix V = sqrt(m_j) p_k(z_j),
+    k < d, with each column scaled to unit norm.
+
+    Read off the Hermitian Gram H = V^H V as sqrt(lambda_min(D H D)),
+    D = diag(H)^(-1/2): one d-by-d eigvalsh, cheaper than an SVD of the
+    n_atoms-by-d V.  The scaling makes the value independent of the size
+    of each p_k, so it measures how close the columns come to linear
+    dependence.  Squaring resolves it only down to about sqrt(d eps), so
+    a value below ``_GRAM_CUT`` comes from an SVD of the scaled V instead,
+    which resolves it to about sqrt(d) eps; ``SimilarityReport`` compares
+    it with ``INVERTIBILITY_FLOOR``.
+    """
+    q = data.poly_at_atoms[: data.dim]
+    if q.shape[1] < data.dim:
         raise InputError("fewer atoms than the dimension; node matrix cannot have full rank")
+    h = (q.conj() * data.measure.masses) @ q.T
+    norms = h.diagonal().real
+    if not norms.min() > 0:
+        return 0.0  # a column vanishes at every atom
+    s = 1 / np.sqrt(norms)
+    sigma = max(float(np.linalg.eigvalsh(s[:, None] * h * s)[0]), 0.0) ** 0.5
+    if sigma >= _GRAM_CUT:
+        return sigma
+    v = np.sqrt(data.measure.masses)[:, None] * q.T * s
     return float(np.linalg.svd(v, compute_uv=False)[-1])
 
 
@@ -200,7 +227,8 @@ def check_invertible(data: SimilarityData) -> float:
 class SimilarityReport:
     residuals: np.ndarray
     orthonormality: float
-    sigma_min: float  # smallest singular value of the node matrix
+    # smallest singular value of the column-equilibrated node matrix, in [0, 1]
+    sigma_min: float
     tol: float
 
     @property
@@ -208,10 +236,22 @@ class SimilarityReport:
         return float(np.max(np.append(self.residuals, self.orthonormality)))  # NaN wins
 
     @property
+    def failures(self) -> list[str]:
+        """One line per failed check, naming its value and bound; a check
+        that overflowed to inf or NaN certifies nothing, so it fails."""
+        out, worst = [], self.max_residual
+        if not worst <= self.tol:
+            out.append(f"max residual {worst:.3g} not within tol {self.tol:.3g}")
+        if not np.isfinite(self.sigma_min):
+            out.append(f"node matrix check not finite: equilibrated sigma_min {self.sigma_min}")
+        elif not self.sigma_min > INVERTIBILITY_FLOOR:
+            out.append(f"node matrix numerically singular: equilibrated sigma_min "
+                       f"{self.sigma_min:.2g} not above {INVERTIBILITY_FLOOR:g}")
+        return out
+
+    @property
     def passed(self) -> bool:
-        # a check that overflowed to inf or NaN certifies nothing
-        finite = np.isfinite(self.max_residual) and np.isfinite(self.sigma_min)
-        return bool(finite and self.max_residual <= self.tol and self.sigma_min > 0)
+        return not self.failures
 
 
 def verify_similarity(
@@ -227,7 +267,10 @@ def verify_similarity(
     is the recurrence that produced ``poly_at_atoms``, so it certifies
     their rounding and that ``data`` was built from ``m``, for any atoms.
     Only the bilinear orthonormality residual ties the measure to the
-    moments, and a positive node-matrix sigma_min certifies T invertible.
+    moments.  The node-matrix sigma_min of ``check_invertible`` certifies
+    T numerically invertible when it exceeds ``INVERTIBILITY_FLOOR``: the
+    columns p_k, scaled to unit norm in L^2 of the measure, are that far
+    from linear dependence.
     Raises ``PreconditionError`` at the first degree whose scale overflows.
     """
     d = data.dim

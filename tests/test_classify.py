@@ -15,10 +15,12 @@ from trisim.core import (
     InputError,
     PreconditionError,
     TridiagonalSymmetric,
-    gram_det,
     random_class_matrix,
 )
 from trisim.moments import spectral_moments
+
+# the brute-force Gram determinant, pinned by test_core.TestGramDet
+from test_core import gram_det
 
 CHAIN2 = np.array([[0, 1], [1, 0]], dtype=complex)
 

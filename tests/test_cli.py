@@ -335,6 +335,29 @@ class TestSimilarityCommand:
         assert result["passed"] is False
         assert main(["similarity", "--input", str(op)]) == 0
 
+    def test_singular_node_matrix_exits_1_and_names_the_check(self, tmp_path):
+        # every residual of gen seed 2 at d = 192 is within tol, but its
+        # column-equilibrated node matrix is numerically singular
+        op = tmp_path / "op.json"
+        main(["gen", "--seed", "2", "--d", "192", "--output", str(op)])
+        proc = run_fresh("similarity", "--input", str(op), "--output", str(tmp_path / "out.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("verification failed: node matrix numerically singular: ")
+        assert "not above 1e-10" in proc.stderr and "Traceback" not in proc.stderr
+        result = json.loads((tmp_path / "out.json").read_text())
+        assert result["passed"] is False
+        assert result["max_residual"] <= 1e-8
+        assert result["node_matrix_sigma_min"] < 1e-10
+
+    def test_residual_failure_names_max_residual_and_tol(self, tmp_path, capsys):
+        op = tmp_path / "op.json"
+        main(["gen", "--seed", "11", "--d", "12", "--output", str(op)])
+        capsys.readouterr()
+        assert main(["similarity", "--input", str(op), "--tol", "1e-16"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("verification failed: max residual ")
+        assert err[0].endswith(" not within tol 1e-16")
+
     def test_zero_offdiagonal_rejected(self, tmp_path, capsys):
         p = write(
             tmp_path,
@@ -432,6 +455,21 @@ class TestVerifyCommand:
             },
         )
         assert main(["verify", "--input", inp]) == 1
+
+    def test_overflowing_difference_exits_1(self, tmp_path):
+        # the true relative residual is about 2: a verification failure
+        inp = write(
+            tmp_path,
+            "v.json",
+            {
+                "measure": {"atoms": [{"z": [1e154, 0], "mass": 1e154}]},
+                "moments": {"rho": 1, "s": [[1e154, 0], [-1e308, 0]]},
+            },
+        )
+        proc = run_fresh("verify", "--input", inp)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["max_residual"] == pytest.approx(2.0)
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize(
         "z, mass, order",

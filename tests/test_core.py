@@ -11,13 +11,27 @@ from trisim.core import (
     ConjugationMap,
     InputError,
     TridiagonalSymmetric,
+    as_complex_vector,
     bilinear_gram,
     complex_from_json,
     complex_to_json,
     cvector_from_json,
     cvector_to_json,
-    gram_det,
 )
+
+
+def gram_det(vectors) -> complex:
+    """Determinant of the Gram matrix [(y_k, y_l)] (second slot conjugated),
+    by a pivoted LU factorization: the brute-force form of the Gram
+    determinants that ``classify`` reads off a QR.  Pinned by ``TestGramDet``;
+    ``test_classify`` checks ``gram_condition_check`` against it."""
+    if len(vectors) == 0:
+        raise InputError("gram_det needs at least one vector")
+    vs = [as_complex_vector(v) for v in vectors]
+    if any(len(v) != len(vs[0]) for v in vs):
+        raise InputError("all vectors must have the same dimension")
+    v = np.array(vs)
+    return complex(np.linalg.det(v @ v.conj().T))
 
 
 def leaves(obj):

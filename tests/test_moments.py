@@ -388,6 +388,15 @@ class TestVerifyMeasure:
         # itself moved by the same 1e-3)
         assert verify_measure(mu, seq)[0] == pytest.approx(1e-3, rel=2e-3)
 
+    def test_difference_near_the_float64_limit_is_scaled_first(self):
+        # s_1 - sum m z = -1e308 - 1e308 overflows while both terms and the
+        # bound max|z| * mass = 1e308 are finite: the residual is 2, with no
+        # RuntimeWarning (pytest turns one into an error)
+        mu = AtomicMeasure(np.array([1e154]), np.array([1e154]))
+        res = verify_measure(mu, MomentSequence(1, np.array([1e154, -1e308])))
+        assert res[0] == 0
+        assert res[1] == pytest.approx(2.0)
+
     def test_residuals_are_the_per_order_scalar_formula(self):
         # pinned bit for bit: numpy's array ** and complex abs differ from the
         # scalar ones in the last bit, so a vectorized residual fails here

@@ -12,6 +12,7 @@ from trisim.core import (
 )
 from trisim.moments import extend_matrix, spectral_moments, verify_measure
 from trisim.similarity import (
+    INVERTIBILITY_FLOOR,
     SimilarityData,
     SimilarityReport,
     build_polynomials,
@@ -274,6 +275,22 @@ class TestSimilarityReport:
         assert report.passed is True
         assert report.max_residual == 5e-9
 
+    @pytest.mark.parametrize("sigma_min, passed", [(5e-11, False), (2e-10, True)])
+    def test_sigma_min_is_judged_against_the_floor(self, sigma_min, passed):
+        assert INVERTIBILITY_FLOOR == 1e-10
+        report = SimilarityReport(np.array([1e-16]), 0.0, sigma_min, tol=1e-8)
+        assert report.passed is passed
+
+    def test_failures_name_each_check_with_value_and_bound(self):
+        assert SimilarityReport(np.array([1e-16]), 0.0, 0.5, tol=1e-8).failures == []
+        report = SimilarityReport(np.array([3e-5]), 0.0, 2.1e-14, tol=1e-8)
+        assert report.failures == [
+            "max residual 3e-05 not within tol 1e-08",
+            "node matrix numerically singular: equilibrated sigma_min 2.1e-14 not above 1e-10",
+        ]
+        nan = SimilarityReport(np.array([1e-16]), 0.0, np.nan, tol=1e-8)
+        assert nan.failures == ["node matrix check not finite: equilibrated sigma_min nan"]
+
 
 class TestEnvelope:
     @pytest.mark.parametrize("d", [16, 32, 64, 128])
@@ -304,7 +321,61 @@ class TestSesquilinearIsNotTheRightPairing:
         assert np.max(resid) > 0.1
 
 
+def equilibrated_svd_sigma_min(data):
+    # the direct definition: the node matrix with unit-norm columns, by SVD
+    v = np.sqrt(data.measure.masses)[:, None] * data.poly_at_atoms[: data.dim].T
+    return np.linalg.svd(v / np.linalg.norm(v, axis=0), compute_uv=False)[-1]
+
+
 class TestCheckInvertible:
+    @pytest.mark.parametrize("d", [8, 32, 64])
+    def test_agrees_with_the_equilibrated_svd(self, d):
+        for seed in range(5):
+            data = build_transform(random_class_matrix(seed, d))
+            want = equilibrated_svd_sigma_min(data)
+            assert want > INVERTIBILITY_FLOOR
+            assert check_invertible(data) == pytest.approx(want, rel=1e-3)
+
+    def test_copied_column_sham_fails_on_its_own(self):
+        # p_{d-1} := p_{d-2} makes the node matrix exactly rank-deficient;
+        # the raw (unscaled) sigma_min of this input read 1.00
+        d = 64
+        m = random_class_matrix(0, d)
+        data = build_transform(m)
+        p = data.poly_at_atoms.copy()
+        p[d - 1] = p[d - 2]
+        sham = dataclasses.replace(data, poly_at_atoms=p)
+        assert check_invertible(sham) < INVERTIBILITY_FLOOR
+        # the genuine input is far above the floor
+        assert check_invertible(data) > 10 * INVERTIBILITY_FLOOR
+        failures = verify_similarity(m, sham).failures
+        assert any(f.startswith("node matrix numerically singular") for f in failures)
+
+    @pytest.mark.parametrize("d", [8, 64, 224])
+    def test_exactly_rank_deficient_reads_rounding_level(self, d):
+        # the Gram reads this sham anywhere from 0 to about 1.5e-8; below
+        # the Gram's resolution the SVD decides, at rounding level
+        data = build_transform(random_class_matrix(0, d))
+        p = data.poly_at_atoms.copy()
+        p[d - 1] = p[d - 2]
+        assert check_invertible(dataclasses.replace(data, poly_at_atoms=p)) < 1e-14
+
+    @pytest.mark.parametrize("seed, d, singular", [(1, 192, True), (0, 224, False)])
+    def test_near_singular_inputs_are_read_by_svd(self, seed, d, singular):
+        # gen inputs whose sigma_min (7.4e-12 and 1.9e-7) the Gram cannot
+        # resolve: the value is the SVD's, and judged against the floor
+        data = build_transform(random_class_matrix(seed, d))
+        sigma = check_invertible(data)
+        assert sigma == pytest.approx(equilibrated_svd_sigma_min(data), rel=1e-3)
+        assert (sigma <= INVERTIBILITY_FLOOR) is singular
+
+    def test_vanishing_column_reads_zero(self):
+        # a p_k that is 0 at every atom has no unit-norm scaling
+        data = build_transform(random_class_matrix(0, 6))
+        p = data.poly_at_atoms.copy()
+        p[3] = 0
+        assert check_invertible(dataclasses.replace(data, poly_at_atoms=p)) == 0.0
+
     def test_duplicate_node_synthetic(self):
         # two coincident evaluation points collapse the node matrix
         m = random_class_matrix(8, 2)
