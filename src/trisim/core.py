@@ -182,12 +182,17 @@ def bilinear_gram(values, mu: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
     scales[k, l] = sum_j m_j |f_k(z_j)| |f_l(z_j)| is the largest magnitude
     entering each entry.  The L^2(mu) inner product of f and g is the
     off-diagonal entry for the stack [f, conj(g)].
+
+    Both are Grams of one matrix: with V = f sqrt(m), gram = V V^T and
+    scales = |V| |V|^T, each a single BLAS syrk that does half the
+    multiply-adds of a general product and is exactly symmetric.
     """
     p = np.asarray(values, dtype=np.complex128)
     if p.ndim != 2 or p.shape[1] != mu.n_atoms:
         raise InputError(f"values need one column per atom, got shape {p.shape}")
-    ap = np.abs(p)
-    return (p * mu.masses) @ p.T, (ap * mu.masses) @ ap.T
+    v = p * np.sqrt(mu.masses)
+    av = np.abs(v)
+    return v @ v.T, av @ av.T
 
 
 @dataclass

@@ -99,12 +99,17 @@ def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.
         raise InputError("extension too short for the requested degree")
     vals = np.empty((n_max + 1, len(z)), dtype=np.complex128)
     vals[0] = 1.0
+    # row n + 1 starts as z - b_n and is finished in place, in the order of
+    # ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n, so no degree allocates
+    np.subtract(z, ext.diag[:n_max, None], out=vals[1:])
     if n_max >= 1:
-        vals[1] = (z - ext.diag[0]) / ext.offdiag[0]
+        vals[1] /= ext.offdiag[0]
+    scratch = np.empty_like(z)
     for n in range(1, n_max):
-        vals[n + 1] = (
-            (z - ext.diag[n]) * vals[n] - ext.offdiag[n - 1] * vals[n - 1]
-        ) / ext.offdiag[n]
+        row = vals[n + 1]
+        row *= vals[n]
+        row -= np.multiply(ext.offdiag[n - 1], vals[n - 1], out=scratch)
+        row /= ext.offdiag[n]
     return vals
 
 
@@ -281,16 +286,18 @@ def verify_similarity(
     with np.errstate(over="ignore", invalid="ignore"):
         diff = data.measure.atoms * p[:d]
         diff[d - 1] -= data.rank_one_scale * p[d]
-        denom = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=1))
+        denom = np.sqrt((diff.real**2 + diff.imag**2) @ w)
     require_finite(denom, lambda n: f"polynomial degree {n}: the residual scale overflows "
                    f"at max|p_{n}| = {np.max(np.abs(p[n])):.3g}")
     orth = float(np.max(orthonormality_residuals(p, data.measure, d)))
     sigma_min = check_invertible(data)
-    # the left side is subtracted term by term, so that at most two
-    # d-by-n_atoms arrays are alive at once
+    # the left side is subtracted term by term, so that at most two complex
+    # d-by-n_atoms arrays are alive at once, diff and one product; each
+    # weighted norm adds three real ones, two squares and their sum, and
+    # reduces them with one gemv against the masses
     diff -= m.diag[:, None] * p[:d]
     diff[1:] -= m.offdiag[:, None] * p[: d - 1]
     diff[:-1] -= m.offdiag[:, None] * p[1:d]
-    num = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=1))
+    num = np.sqrt((diff.real**2 + diff.imag**2) @ w)
     res = num / np.where(denom > 0, denom, 1.0)
     return SimilarityReport(residuals=res, orthonormality=orth, sigma_min=sigma_min, tol=tol)

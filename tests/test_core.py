@@ -17,7 +17,9 @@ from trisim.core import (
     complex_to_json,
     cvector_from_json,
     cvector_to_json,
+    random_class_matrix,
 )
+from trisim.similarity import build_transform
 
 
 def gram_det(vectors) -> complex:
@@ -137,19 +139,34 @@ class TestPairings:
     )
     @settings(max_examples=50)
     def test_symmetry_laws(self, fs, gs):
-        # a BLAS Gram is not bitwise symmetric, and |g|^2 is not bitwise
-        # |g^2|, so the laws hold to a few ulps of the magnitudes entering
-        # each entry
+        # V V^T and |V| |V|^T are exactly symmetric; |g|^2 is not bitwise
+        # |g^2|, so the other laws hold to a few ulps of the magnitudes
+        # entering each entry
         mu = AtomicMeasure(np.array([0.0, 1.0, 1j]), np.array([0.5, 0.25, 0.25]))
         f = np.array(fs)
         g = np.array(gs)
         gram, scales = bilinear_gram([f, g], mu)
-        assert np.all(np.abs(gram - gram.T) <= 1e-15 * scales)
+        assert np.array_equal(gram, gram.T)
+        assert np.array_equal(scales, scales.T)
         assert np.all(np.abs(gram) <= (1 + 1e-15) * scales)
         sesq, sesq_scales = bilinear_gram([f, np.conj(f)], mu)
         quad = sesq[0, 1]
         assert abs(quad.imag) <= 1e-15 * sesq_scales[0, 1]
         assert quad.real >= -1e-15 * sesq_scales[0, 1]
+
+    @pytest.mark.parametrize("d", [8, 32, 64])
+    def test_matches_the_direct_sum_on_circle_measures(self, d):
+        # sum_j m_j f_k f_l term by term, with no sqrt(m) split and no BLAS
+        eps = np.finfo(np.float64).eps
+        for seed in range(5):
+            data = build_transform(random_class_matrix(seed, d))
+            f, mu = data.poly_at_atoms, data.measure
+            gram, scales = bilinear_gram(f, mu)
+            direct = np.einsum("j,kj,lj->kl", mu.masses, f, f)
+            direct_scales = np.einsum("j,kj,lj->kl", mu.masses, np.abs(f), np.abs(f))
+            assert np.all(np.abs(gram - direct) <= 4 * eps * direct_scales)
+            # a sum of n nonnegative terms is accurate to n eps relative
+            assert np.all(np.abs(scales - direct_scales) <= mu.n_atoms * eps * direct_scales)
 
 
 class TestDomainTypes:

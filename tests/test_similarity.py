@@ -75,6 +75,28 @@ class TestBuildPolynomials:
         for n in range(6):
             assert np.allclose(rec[n], fam.eval(n, z), rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 48])
+    def test_recurrence_is_the_per_degree_expression_bit_for_bit(self, d):
+        # the in-place recurrence performs the reference's operations in
+        # its order, so every value must agree exactly
+        def reference(ext, n_max, z):
+            vals = np.empty((n_max + 1, len(z)), dtype=np.complex128)
+            vals[0] = 1.0
+            if n_max >= 1:
+                vals[1] = (z - ext.diag[0]) / ext.offdiag[0]
+            for n in range(1, n_max):
+                vals[n + 1] = (
+                    (z - ext.diag[n]) * vals[n] - ext.offdiag[n - 1] * vals[n - 1]
+                ) / ext.offdiag[n]
+            return vals
+
+        for seed in range(5):
+            m = random_class_matrix(seed, d)
+            z = build_transform(m).measure.atoms
+            ext = extend_matrix(m, d + 1)
+            for n_max in (0, 1, d):
+                assert np.array_equal(eval_recurrence(ext, n_max, z), reference(ext, n_max, z))
+
     def test_rejects_zero_division(self):
         with pytest.raises(InputError, match="a_0"):
             build_polynomials(TridiagonalSymmetric([1, 2], [0]), 2)
