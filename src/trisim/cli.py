@@ -33,8 +33,6 @@ from .core import (
     PreconditionError,
     TridiagonalSymmetric,
     as_complex_matrix,
-    complex_to_json,
-    cvector_to_json,
     random_class_matrix,
 )
 from .classify import (
@@ -103,7 +101,7 @@ def cmd_classify(args) -> int:
             gr = gram_condition_check(a, x0, conj, args.tol)
             report["gram_condition"] = gr.passed
             report["gram_determinants"] = [
-                {"n": n, "gamma": complex_to_json(g)} for n, g in gr.values
+                {"n": n, "gamma": io.complex_to_json(g)} for n, g in gr.values
             ]
         # with (J, x0) supplied the verdict is the two-sided criterion,
         # not the basis-dependent tridiagonal test
@@ -124,7 +122,7 @@ def cmd_canonicalize(args) -> int:
     form = canonicalize(a, x0, conj, args.tol)
     io.dump_json(
         {
-            "basis": cvector_to_json(form.basis),
+            "basis": io.cvector_to_json(form.basis),
             "matrix": io.operator_to_json(form.matrix),
             "phases": form.phases.tolist(),
         },
@@ -166,9 +164,9 @@ def cmd_similarity(args) -> int:
     out = {
         "measure": io.measure_to_json(data.measure),
         "polynomials": [
-            row[: n + 1] for n, row in enumerate(cvector_to_json(data.polys.coeffs))
+            row[: n + 1] for n, row in enumerate(io.cvector_to_json(data.polys.coeffs))
         ],
-        "rank_one_scale": complex_to_json(data.rank_one_scale),
+        "rank_one_scale": io.complex_to_json(data.rank_one_scale),
         "node_matrix_sigma_min": report.sigma_min,
         "orthonormality_residual": report.orthonormality,
         "residuals": report.residuals.tolist(),

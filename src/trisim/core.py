@@ -225,39 +225,3 @@ def random_class_matrix(seed: int, d: int) -> TridiagonalSymmetric:
     offdiag = radii * np.exp(1j * phases)
     return TridiagonalSymmetric(diag, offdiag)
 
-
-# --- JSON helpers: complex numbers travel as [re, im] pairs -----------------
-
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def complex_from_json(v) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise InputError(f"expected [re, im] pair, got {v!r}")
-    try:
-        return complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError):
-        raise InputError(f"expected two numbers in [re, im] pair, got {v!r}") from None
-
-
-def cvector_to_json(v: np.ndarray) -> list[list[float]]:
-    """[re, im] pairs of plain floats; a 2-d array gives rows of pairs."""
-    a = np.asarray(v, dtype=np.complex128)
-    return np.stack((a.real, a.imag), axis=-1).tolist()
-
-
-def cvector_from_json(v) -> np.ndarray:
-    if not isinstance(v, (list, tuple)):
-        raise InputError("expected a list of [re, im] pairs")
-    return np.array([complex_from_json(z) for z in v], dtype=np.complex128)
-
-
-def cmatrix_from_json(rows) -> np.ndarray:
-    if not isinstance(rows, (list, tuple)) or len(rows) == 0:
-        raise InputError("expected a non-empty list of rows")
-    vecs = [cvector_from_json(r) for r in rows]
-    if any(len(v) != len(vecs[0]) for v in vecs):
-        raise InputError("matrix rows must all have the same length")
-    return np.array(vecs, dtype=np.complex128)

@@ -18,10 +18,9 @@ from trisim import io
 from trisim.core import (
     ConsistencyError,
     TridiagonalSymmetric,
-    cvector_from_json,
-    cvector_to_json,
     random_class_matrix,
 )
+from trisim.io import complex_array, cvector_to_json
 from trisim.moments import RadiusSchedule
 from trisim.similarity import build_transform, verify_similarity
 
@@ -219,6 +218,31 @@ class TestClassify:
             assert main(["verify", "--input", write(tmp_path, "v.json", bad_atoms)]) == 2
         ragged = {"kind": "dense", "rows": [[[1, 0], [0, 0]], [[0, 0]]]}
         assert main(["classify", "--input", write(tmp_path, "r.json", ragged)]) == 2
+        # a 400-digit integer, which float64 cannot hold, in each field that holds numbers
+        big = 10**399
+        chain = {"kind": "tridiagonal", "diag": [[0, 0], [0, 0]], "offdiag": [[1, 0]]}
+        dense = {"kind": "dense", "rows": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
+        eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        moments = {"rho": 2, "s": [[1, 0], [0, 0], [1, 0]]}
+        cases = [
+            ("similarity", {**chain, "diag": [[big, 0], [0, 0]]}),
+            ("classify", {**chain, "offdiag": [[1, big]]}),
+            ("classify", {**dense, "rows": [[[0, 0], [1, 0]], [[big, 0], [0, 0]]]}),
+            ("classify", {**dense, "C": [[[1, 0], [0, 0]], [[0, 0], [0, -big]]]}),
+            ("canonicalize", {**dense, "C": eye, "x0": [[1, 0], [big, 0]]}),
+            ("solve", {**moments, "s": [[1, 0], [big, 0], [1, 0]]}),
+            ("verify", {"measure": {"atoms": [{"z": [big, 0], "mass": 1}]}, "moments": moments}),
+            ("verify", {"measure": {"atoms": [{"z": [0, 0], "mass": big}]}, "moments": moments}),
+        ]
+        for command, doc in cases:
+            assert main([command, "--input", write(tmp_path, "big.json", doc)]) == 2
+        # an infinite mass passes AtomicMeasure (exit 3 at verify_measure) unless the reader stops it
+        inf_mass = {"measure": {"atoms": [{"z": [0, 0], "mass": float("inf")}]}, "moments": moments}
+        assert main(["verify", "--input", write(tmp_path, "inf.json", inf_mass)]) == 2
+        # nested deeper than json.load recurses
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["classify", "--input", str(deep)]) == 2
 
 
 class TestSolve:
@@ -534,7 +558,7 @@ class TestRoundTrip:
         assert np.array_equal(mu.masses, data.measure.masses)
         assert len(result["polynomials"]) == data.polys.n_max + 1
         for n, row in enumerate(result["polynomials"]):
-            assert np.array_equal(cvector_from_json(row), data.polys.coeffs[n, : n + 1])
+            assert np.array_equal(complex_array(row, 1, "row"), data.polys.coeffs[n, : n + 1])
         assert np.array_equal(np.array(result["residuals"]), report.residuals)
 
     def test_missing_input_flag(self):
@@ -693,7 +717,10 @@ KEYS = ["kind", "diag", "offdiag", "rows", "C", "x0", "s", "rho", "measure", "mo
 NUMBERS = st.one_of(
     st.integers(-3, 3),
     st.floats(),  # json.dump writes nan and inf as NaN and Infinity, which json.load reads
-    st.sampled_from([1e-300, 1e100, 1e200, 1.7e308]).flatmap(lambda x: st.sampled_from([x, -x])),
+    # 10**400 is a JSON integer that float64 cannot hold
+    st.sampled_from([1e-300, 1e100, 1e200, 1.7e308, 10**400]).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    ),
 )
 PAIR = st.lists(NUMBERS, min_size=2, max_size=2)
 JUNK = st.recursive(
@@ -761,6 +788,8 @@ class TestFuzz:
     )
     @example(doc={"rho": 2, "s": [[2, 0], [1.5e308, 1.5e308], [0, 0]]}, command="solve")
     @example(doc={"rho": 2, "s": [[5e-324, 0], [1, 0], [0, 0]]}, command="solve")
+    @example(doc={"s": [[0, 10**400]]}, command="solve")
+    @example(doc={"kind": "tridiagonal", "diag": [[0, 10**400]]}, command="classify")
     def test_any_document_gets_an_exit_code(self, tmp_path_factory, doc, command):
         # no exception escapes cli.main, RuntimeWarnings included (they are
         # errors under the pytest configuration)

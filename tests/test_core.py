@@ -13,12 +13,9 @@ from trisim.core import (
     TridiagonalSymmetric,
     as_complex_vector,
     bilinear_gram,
-    complex_from_json,
-    complex_to_json,
-    cvector_from_json,
-    cvector_to_json,
     random_class_matrix,
 )
+from trisim.io import complex_array, complex_to_json, cvector_to_json
 from trisim.similarity import build_transform
 
 
@@ -212,16 +209,141 @@ class TestDomainTypes:
             ConjugationMap(c).check()
 
 
+# The per-pair readers that io.complex_array replaced, kept as its reference.
+def complex_from_json(v) -> complex:
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise InputError(f"expected [re, im] pair, got {v!r}")
+    try:
+        return complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError):
+        raise InputError(f"expected two numbers in [re, im] pair, got {v!r}") from None
+
+
+def cvector_from_json(v) -> np.ndarray:
+    if not isinstance(v, (list, tuple)):
+        raise InputError("expected a list of [re, im] pairs")
+    return np.array([complex_from_json(z) for z in v], dtype=np.complex128)
+
+
+def cmatrix_from_json(rows) -> np.ndarray:
+    if not isinstance(rows, (list, tuple)) or len(rows) == 0:
+        raise InputError("expected a non-empty list of rows")
+    vecs = [cvector_from_json(r) for r in rows]
+    if any(len(v) != len(vecs[0]) for v in vecs):
+        raise InputError("matrix rows must all have the same length")
+    return np.array(vecs, dtype=np.complex128)
+
+
+REFERENCE_READERS = (complex_from_json, cvector_from_json, cmatrix_from_json)
+
+# JSON values as json.load returns them: numbers of every size, including
+# ones float64 cannot hold, null, booleans, numeric and other strings
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([10**400, -(10**400), 2**53 + 1, 2 * 10**308, 10**30 + 1]),
+    st.floats(),
+    st.sampled_from(["1.5", "-0", " 2 ", "1_0", "nan", "-Infinity", "1e400", "0x1", ""]),
+    st.text(max_size=2),
+)
+PAIRS = st.lists(SCALARS, min_size=2, max_size=2)
+JSONLIKE = st.recursive(
+    st.one_of(SCALARS, PAIRS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=1), inner, max_size=2)
+    ),
+    max_leaves=10,
+)
+# values of each depth shaped as the readers expect, empty lists included
+SHAPED = (
+    PAIRS,
+    st.lists(PAIRS, max_size=4),
+    st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(PAIRS, min_size=n, max_size=n), max_size=3)
+    ),
+)
+
+
 class TestComplexJson:
     def test_pair_roundtrip_bit_exact(self):
         z = complex(1 / 3, -2 / 7)
-        again = complex_from_json(json.loads(json.dumps(complex_to_json(z))))
+        again = complex_array(json.loads(json.dumps(complex_to_json(z))), 0, "z")
         assert again == z
 
     def test_vector_roundtrip(self):
         v = np.array([0.1 + 0.2j, -3.5, 1e300j])
-        again = cvector_from_json(json.loads(json.dumps(cvector_to_json(v))))
+        again = complex_array(json.loads(json.dumps(cvector_to_json(v))), 1, "v")
         assert np.array_equal(again, v)
+
+    @pytest.mark.parametrize(
+        "v, ndim, want",
+        [
+            ([1, -0.0], 0, complex(1, -0.0)),
+            ([[1, 2], [3.5, -4]], 1, [1 + 2j, 3.5 - 4j]),
+            ([[[1, 0], [0, 1]], [[0, -1], [2, 0]]], 2, [[1, 1j], [complex(0, -1), 2]]),
+            ([True, False], 0, 1),  # as float(True) and float(False)
+            (["1.5", " -2 "], 0, 1.5 - 2j),  # as float("1.5") and float(" -2 ")
+            ([[10**300, 0]], 1, [1e300]),
+        ],
+    )
+    def test_reads_each_depth(self, v, ndim, want):
+        got = complex_array(v, ndim, "v")
+        want = np.asarray(want, dtype=np.complex128)
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "v, ndim",
+        [
+            ([1.0], 0),  # not a pair
+            ([1, 2, 3], 0),
+            ([[1, 2]], 0),  # one level too many
+            ([1, 2], 1),  # one level too few
+            ([[1, 2], [3]], 1),  # ragged
+            ([[[1, 0], [0, 0]], [[0, 0]]], 2),
+            ([[1, 2], [[3, 4], 5]], 1),
+            ([], 1),  # empty
+            ([[]], 1),
+            ([], 2),
+            ([[]], 2),
+            ([None, 0], 0),  # JSON null, which numpy reads as nan
+            ([[0, 0], [0, None]], 1),
+            ([float("nan"), 0], 0),  # JSON NaN and Infinity
+            ([0, float("-inf")], 0),
+            ([10**400, 0], 0),  # too large for float64
+            ([[0, 0], [0, -(10**400)]], 1),
+            (["1e400", 0], 0),  # a numeric string that reads as inf
+            (["x", 0], 0),  # not a numeric string
+            ("12", 1),
+            ({"re": 1, "im": 2}, 0),
+            ([{"re": 1}, 2], 0),
+            (None, 1),
+            (3, 0),
+        ],
+    )
+    def test_rejects_everything_else(self, v, ndim):
+        with pytest.raises(InputError):
+            complex_array(v, ndim, "v")
+
+    @given(ndim=st.integers(0, 2), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_pair_readers(self, ndim, data):
+        # Where the reference gives a non-empty finite array, the reader gives
+        # the same bits (-0.0 included); everywhere else it raises InputError,
+        # also where the reference raised OverflowError or returned an empty or
+        # non-finite array, both of which every consumer rejected with exit 2.
+        v = data.draw(st.one_of(SHAPED[ndim], JSONLIKE))
+        try:
+            want = np.asarray(REFERENCE_READERS[ndim](v), dtype=np.complex128)
+        except (InputError, OverflowError):
+            want = None
+        if want is not None and want.size and np.isfinite(want).all():
+            got = complex_array(v, ndim, "v")
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(InputError):
+                complex_array(v, ndim, "v")
 
     def test_vectorized_writers_match_per_element(self):
         # the per-element complex_to_json is the reference; repr tells -0.0
@@ -254,4 +376,4 @@ class TestComplexJson:
 
     def test_malformed_pair(self):
         with pytest.raises(InputError):
-            complex_from_json([1.0])
+            complex_array([1.0], 0, "z")
