@@ -41,7 +41,7 @@ from .classify import (
     is_class_matrix,
     verify_j_symmetric,
 )
-from .moments import MASS_DELTA, RADIUS_RATIO, RadiusSchedule, algorithm1, solve_rho1
+from .moments import MASS_DELTA, RADIUS_RATIO, RadiusSchedule, algorithm1
 from .moments import spectral_moments, verify_measure
 from .similarity import ORTHONORMALITY_TOL, build_transform, verify_similarity
 
@@ -144,10 +144,7 @@ def cmd_moments(args) -> int:
 
 def cmd_solve(args) -> int:
     seq = io.moments_from_json(io.load_json(args.input))
-    if seq.rho == 1:
-        mu = solve_rho1(seq.s0, complex(seq.values[1]))
-    else:
-        mu = algorithm1(seq, _schedule(args))
+    mu = algorithm1(seq, _schedule(args))
     residuals = verify_measure(mu, seq)
     io.dump_json(io.measure_to_json(mu), args.output)
     if args.output is not None:

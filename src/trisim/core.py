@@ -154,8 +154,8 @@ class AtomicMeasure:
             raise InputError("atoms and masses must have equal length")
         if len(self.atoms) == 0:
             raise InputError("measure must have at least one atom")
-        if not np.all(self.masses > 0):
-            raise InputError("all masses must be strictly positive")
+        if not np.all((self.masses > 0) & (self.masses < np.inf)):  # NaN fails too
+            raise InputError("all masses must be finite and strictly positive")
         # equal atoms are adjacent once sorted; cheaper than np.unique
         ordered = np.sort(self.atoms)
         if np.any(ordered[1:] == ordered[:-1]):

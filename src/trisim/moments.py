@@ -85,22 +85,28 @@ def spectral_moments(
     the (0,0) entry of T^k for the extended matrix T.  As T^T = T,
     s_{i+j} = v_i^T v_j with v_j = T^j e_0, so v_0..v_h, h = ceil(rho/2),
     give s_{2j} = v_j^T v_j and s_{2j+1} = v_j^T v_{j+1}.  v_j lives on
-    rows 0..j, so only rows 0..h of T are read, and any truncation size
-    >= rho + 2 gives bit-identical results.  Raises ``PreconditionError``
-    when some s_k overflows float64.
+    rows 0..j, so only rows 0..h of T are built and read: ``trunc`` is
+    validated (at least rho + 2) and otherwise cannot change the result.
+    Raises ``PreconditionError`` when the (h+1)-by-(h+1) table of the v_j
+    cannot be allocated or some s_k overflows float64.
     """
     ok, _, reason = is_class_matrix(m)
     if not ok:
         raise InputError(f"not a class matrix: {reason}")
     if rho < 1:
         raise InputError("rho must be at least 1")
-    trunc = rho + 2 if trunc is None else trunc
-    if trunc < rho + 2:
+    if trunc is not None and trunc < rho + 2:
         raise InputError(f"truncation size must be at least rho + 2 = {rho + 2}")
-    ext = extend_matrix(m, max(trunc, m.dim))
     h = (rho + 1) // 2
+    try:  # the largest allocation goes first; numpy refuses a shape past intp with ValueError
+        v = np.zeros((h + 1, h + 1), dtype=np.complex128)  # row j is v_j on rows 0..h
+    except (MemoryError, ValueError):
+        raise PreconditionError(
+            f"rho = {rho} needs a {h + 1} x {h + 1} moment table "
+            f"({_format_power_of_ten(math.log10(16 * (h + 1) ** 2))} bytes), which cannot be allocated"
+        ) from None
+    ext = extend_matrix(m, max(h + 1, m.dim))
     diag, offdiag = ext.diag[: h + 1], ext.offdiag[:h]
-    v = np.zeros((h + 1, h + 1), dtype=np.complex128)  # row j is v_j on rows 0..h
     v[0, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for cur, nxt in zip(v[:-1], v[1:]):  # nxt = T cur
@@ -283,12 +289,14 @@ def algorithm1(
     exactly c_k.  Its radius is the smallest with every mass above the
     floor and at least gamma |a|.  Raises ``PreconditionError`` naming
     the scale, before anything is built, when float64 cannot hold it.
+    At rho = 1 there is no circle: the measure is the single exact atom
+    of ``solve_rho1``.
     """
     if schedule is None:
         schedule = RadiusSchedule()
     rho = seq.rho
-    if rho < 2:
-        raise InputError("the circle construction needs rho >= 2")
+    if rho == 1:
+        return solve_rho1(seq.s0, complex(seq.values[1]))
     half = seq.s0 / 2
     if half < np.finfo(np.float64).tiny:  # numpy divides by the reciprocal, inf for a subnormal
         raise PreconditionError(
@@ -319,12 +327,12 @@ def algorithm1(
 def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
     """Relative residual |sum m z^k - s_k| for each prescribed moment.
 
-    The denominator max(1, |s_k|, max|z|^k * total mass) reflects the
-    largest magnitude entering the atom sum; max|z|^k spans many decades
-    over k, so an absolute residual would be meaningless at high orders.  Raises
-    ``PreconditionError`` when max|z|^k * total mass overflows float64; a
-    difference that overflows while both terms are finite is taken after
-    dividing each by the denominator instead.
+    Both the atom sum and s_k are divided by max(1, |s_k|, max|z|^k *
+    total mass), the largest magnitude entering the atom sum, before they
+    are subtracted; max|z|^k spans many decades over k, so an absolute
+    residual would be meaningless at high orders.  Each quotient is at most
+    about 1, so the difference cannot overflow.  Raises
+    ``PreconditionError`` when max|z|^k * total mass overflows float64.
     """
     zmax = np.max(np.abs(mu.atoms))  # np.float64, so zmax**k overflows to inf
     mass = mu.total_mass
@@ -332,15 +340,8 @@ def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
         bounds = [zmax**k * mass for k in range(seq.rho + 1)]
     require_finite(bounds, lambda k: f"moment order {k}: max|z| {zmax:.6g} to the power "
                    f"{k} times total mass {mass:.6g} overflows")
-    # only the subtraction runs with overflow ignored; an overflow in a scale
-    # or a moment still reaches the caller's error state
-    targets = seq.values
-    scales = [max(1.0, abs(target), bound) for target, bound in zip(targets, bounds)]
-    moments = [mu.moment(k) for k in range(seq.rho + 1)]
-    with np.errstate(over="ignore"):
-        out = np.array([abs(m - t) / s for m, t, s in zip(moments, targets, scales)])
-    for k in np.flatnonzero(out == np.inf):
-        if np.isfinite(moments[k]) and np.isfinite(targets[k]):
-            # two finite values near the float64 limit: scale before subtracting
-            out[k] = abs(moments[k] / scales[k] - targets[k] / scales[k])
-    return out
+    scales = [max(1.0, abs(target), bound) for target, bound in zip(seq.values, bounds)]
+    return np.array([
+        abs(mu.moment(k) / scale - target / scale)
+        for k, (target, scale) in enumerate(zip(seq.values, scales))
+    ])

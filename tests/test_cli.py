@@ -236,9 +236,12 @@ class TestClassify:
         ]
         for command, doc in cases:
             assert main([command, "--input", write(tmp_path, "big.json", doc)]) == 2
-        # an infinite mass passes AtomicMeasure (exit 3 at verify_measure) unless the reader stops it
+        # an infinite mass, stopped by the reader and by AtomicMeasure
         inf_mass = {"measure": {"atoms": [{"z": [0, 0], "mass": float("inf")}]}, "moments": moments}
         assert main(["verify", "--input", write(tmp_path, "inf.json", inf_mass)]) == 2
+        # without C, x0 is parsed but reaches no type, so the reader is the only check that sees it
+        null_x0 = {**io.operator_to_json(random_class_matrix(7, 4)), "x0": [[None, 0]] + [[0, 0]] * 3}
+        assert main(["classify", "--input", write(tmp_path, "x0.json", null_x0)]) == 2
         # nested deeper than json.load recurses
         deep = tmp_path / "deep.json"
         deep.write_text('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}")
@@ -275,6 +278,15 @@ class TestSolve:
         measure = json.loads(out.read_text())
         assert len(measure["atoms"]) == 1
         assert measure["atoms"][0]["z"] == [0.0, 0.0]
+        # one atom at s_1 / s_0 with mass s_0, from algorithm1, which reads
+        # the schedule at rho = 1 too
+        inp = write(tmp_path, "m.json", {"rho": 1, "s": [[2, 0], [1, 1]]})
+        capsys.readouterr()
+        assert main(["solve", "--input", inp, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["atoms"] == [{"z": [0.5, 0.5], "mass": 2.0}]
+        assert json.loads(capsys.readouterr().out)["max_residual"] == 0
+        for flag, value in [("--gamma", "0.5"), ("--delta", "0.7")]:
+            assert main(["solve", "--input", inp, flag, value]) == 2
 
     def test_nonpositive_s0(self, tmp_path):
         inp = write(tmp_path, "m.json", {"s": [[-1, 0], [0, 0], [0, 0]]})
@@ -317,6 +329,20 @@ class TestMomentsCommand:
         assert "moment order 2" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["moments", "similarity"])
+    @pytest.mark.parametrize("rho", [10**20, 10**400])
+    def test_unallocatable_moment_table_exits_3(self, tmp_path, command, rho):
+        # the (h+1)-by-(h+1) table is past any address space; numpy refuses it
+        # before anything else of size O(rho) is built, and its byte count,
+        # past float64 at 10**400, is still named
+        op = write(tmp_path, "op.json", io.operator_to_json(random_class_matrix(7, 4)))
+        proc = run_fresh(command, "--input", op, "--rho", str(rho))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"precondition violated: rho = {rho} needs a ")
+        assert "moment table (4e+" in proc.stderr and "cannot be allocated" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
 

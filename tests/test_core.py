@@ -168,8 +168,11 @@ class TestPairings:
 
 class TestDomainTypes:
     def test_measure_rejects_nonpositive_mass(self):
-        with pytest.raises(InputError):
-            AtomicMeasure(np.array([1.0]), np.array([0.0]))
+        # a non-finite mass is malformed input too, not a float64-range
+        # precondition for verify_measure to find
+        for mass in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InputError, match="finite and strictly positive"):
+                AtomicMeasure(np.array([1.0]), np.array([mass]))
 
     def test_measure_rejects_duplicate_atoms(self):
         with pytest.raises(InputError):

@@ -351,9 +351,14 @@ class TestAlgorithm1:
         with pytest.raises(PreconditionError, match="below the normal float64 range"):
             algorithm1(seq)
 
-    def test_rejects_rho_below_two(self):
-        with pytest.raises(InputError):
-            algorithm1(MomentSequence(1, np.array([1, 1j])))
+    def test_rho_one_is_the_single_exact_atom(self):
+        # no circle at rho = 1: the measure is solve_rho1's atom, whatever the schedule
+        for s in ([1, 1j], [2, 1 + 1j], [3.5, -0.25], [1e-3, 7e2 - 3e2j]):
+            want = solve_rho1(s[0], s[1])
+            for schedule in (None, RadiusSchedule(gamma=3.0, delta=0.25)):
+                mu = algorithm1(MomentSequence(1, np.array(s)), schedule)
+                assert np.array_equal(mu.atoms, want.atoms)
+                assert np.array_equal(mu.masses, want.masses)
 
     def test_bad_schedule_rejected(self):
         for gamma in [0.9, 1.0, np.nan, np.inf]:
@@ -399,7 +404,9 @@ class TestVerifyMeasure:
 
     def test_residuals_are_the_per_order_scalar_formula(self):
         # pinned bit for bit: numpy's array ** and complex abs differ from the
-        # scalar ones in the last bit, so a vectorized residual fails here
+        # scalar ones in the last bit, so a vectorized residual fails here.
+        # Both terms are divided by the bound before the subtraction, so no
+        # difference can overflow.
         cases = []
         for seed in range(40):
             seq = spectral_moments(random_class_matrix(seed, 2 + seed), 2 * seed + 5)
@@ -413,10 +420,10 @@ class TestVerifyMeasure:
             cases.append((AtomicMeasure(atoms, rng.uniform(0.01, 5, n)), MomentSequence(rho, s)))
         for mu, seq in cases:
             zmax, mass = float(np.max(np.abs(mu.atoms))), mu.total_mass
-            want = [
-                abs(mu.moment(k) - s_k) / max(1, abs(s_k), zmax**k * mass)
-                for k, s_k in enumerate(seq.values)
-            ]
+            want = []
+            for k, s_k in enumerate(seq.values):
+                scale = max(1.0, abs(s_k), zmax**k * mass)
+                want.append(abs(mu.moment(k) / scale - s_k / scale))
             assert np.array_equal(verify_measure(mu, seq), want)
 
 

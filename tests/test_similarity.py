@@ -248,8 +248,9 @@ class TestVerifySimilarity:
         assert sorted(calls) == ["check_invertible", "orthonormality_residuals"]
 
     def test_extends_once_outside_spectral_moments(self, monkeypatch):
-        # spectral_moments extends to its own truncation size; the (d+1)-row
-        # extension of build_transform serves the polynomials too
+        # spectral_moments extends to the h + 1 = d + 2 rows it reads (rho =
+        # 2d + 1); the (d+1)-row extension of build_transform serves the
+        # polynomials too
         calls = []
 
         def counted(m, n):
@@ -260,7 +261,7 @@ class TestVerifySimilarity:
         monkeypatch.setattr(moments, "extend_matrix", counted)
         m = random_class_matrix(35, 5)
         data = build_transform(m)
-        assert calls == [2 * 5 + 3, 5 + 1]
+        assert calls == [5 + 2, 5 + 1]
         assert np.array_equal(data.polys.coeffs, build_polynomials(m, 5).coeffs)
 
     def test_coefficient_table_is_built_on_first_read(self):
