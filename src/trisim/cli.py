@@ -14,7 +14,7 @@ Exit codes: 0 pass, 1 verification failure, 2 malformed input,
 3 precondition violation, 4 internal-invariant failure.
 
 ``main(argv)`` returns the exit code and may be called any number of times
-in one process.
+in one process; each call builds the parser of the command it runs only.
 """
 
 from __future__ import annotations
@@ -194,52 +194,55 @@ def cmd_gen(args) -> int:
     return EXIT_PASS
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The argument parser; given ``argv``, only the commands it names get
-    their flags.  argparse hands the arguments after the command to that
-    command's subparser alone, so the parse is the same as with every flag,
-    and adding the other commands' flags would cost more than the parse."""
+def parse_args(argv=None) -> argparse.Namespace:
+    """The Namespace of one call.  The command is read first, and only its
+    parser is built, with only its flags; help texts, error messages and exit
+    codes are those of argparse's own sub-parsers."""
     parser = argparse.ArgumentParser(
         prog="trisim",
         description="Tridiagonal complex symmetric operators: moment problems "
         "and the similarity to rank-one perturbations of restrictions of "
         "normal operators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each command takes only the flags it reads; tol is the default of --tol
+    commands = {
+        "classify": (cmd_classify, "input output tol", DEFAULT_TOL),
+        "canonicalize": (cmd_canonicalize, "input output tol", DEFAULT_TOL),
+        "moments": (cmd_moments, "input output rho", None),
+        "solve": (cmd_solve, "input output tol gamma delta", DEFAULT_TOL),
+        "similarity": (cmd_similarity, "input output tol rho gamma delta", ORTHONORMALITY_TOL),
+        "verify": (cmd_verify, "input output tol", DEFAULT_TOL),
+        "gen": (cmd_gen, "output seed d", None),
+    }
+    # PARSER is the nargs of argparse's sub-parser action: the command and
+    # every argument after it
+    parser.add_argument("command", choices=commands, nargs=argparse.PARSER)
+    args, unknown = parser.parse_known_args(argv)
+    command, *rest = args.command
+    handler, names, tol = commands[command]
     flags = {
         "input": dict(help="input JSON file"),
         "output": dict(help="output JSON file (stdout if omitted)"),
-        "tol": dict(type=_tol, default=DEFAULT_TOL),
+        "tol": dict(type=_tol, default=tol),
         "rho": dict(type=int),
         "gamma": dict(type=float, default=RADIUS_RATIO),
         "delta": dict(type=float, default=MASS_DELTA),
         "seed": dict(type=int),
         "d": dict(type=int, default=2),
     }
-    # each command takes only the flags it reads
-    commands = {
-        "classify": (cmd_classify, "input output tol"),
-        "canonicalize": (cmd_canonicalize, "input output tol"),
-        "moments": (cmd_moments, "input output rho"),
-        "solve": (cmd_solve, "input output tol gamma delta"),
-        "similarity": (cmd_similarity, "input output tol rho gamma delta"),
-        "verify": (cmd_verify, "input output tol"),
-        "gen": (cmd_gen, "output seed d"),
-    }
-    for name, (fn, names) in commands.items():
-        # no prefix matching, so that "--d" cannot stand for "--delta"
-        p = sub.add_parser(name, allow_abbrev=False)
-        if argv is None or name in argv:
-            for flag in names.split():
-                p.add_argument("--" + flag, **flags[flag])
-        p.set_defaults(handler=fn)
-    sub.choices["similarity"].set_defaults(tol=ORTHONORMALITY_TOL)
-    return parser
+    # no prefix matching, so that "--d" cannot stand for "--delta"
+    sub = argparse.ArgumentParser(prog=f"trisim {command}", allow_abbrev=False)
+    for flag in names.split():
+        sub.add_argument("--" + flag, **flags[flag])
+    args, more = sub.parse_known_args(rest, argparse.Namespace(command=command))
+    if unknown or more:  # argparse reports a sub-parser's leftovers at the top
+        parser.error(f"unrecognized arguments: {' '.join(unknown + more)}")
+    args.handler = handler
+    return args
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     if args.command != "gen" and args.input is None:
         print("error: --input is required", file=sys.stderr)
         return EXIT_MALFORMED

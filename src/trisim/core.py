@@ -219,9 +219,12 @@ def random_class_matrix(seed: int, d: int) -> TridiagonalSymmetric:
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    diag = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
-    radii = np.sqrt(rng.uniform(0.25, 4.0, d - 1))
-    phases = rng.uniform(0, 2 * np.pi, d - 1)
-    offdiag = radii * np.exp(1j * phases)
+    try:  # MemoryError past memory, ValueError past intp
+        diag = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
+        radii = np.sqrt(rng.uniform(0.25, 4.0, d - 1))
+        phases = rng.uniform(0, 2 * np.pi, d - 1)
+        offdiag = radii * np.exp(1j * phases)
+    except (MemoryError, ValueError):
+        raise PreconditionError(f"the arrays of a d = {d} matrix cannot be allocated") from None
     return TridiagonalSymmetric(diag, offdiag)
 

@@ -139,10 +139,6 @@ def moments_from_json(obj: dict) -> MomentSequence:
         rho = int(rho)
     if not isinstance(rho, int) or isinstance(rho, bool):
         raise InputError(f"rho must be an integer, got {rho!r}")
-    if rho != len(values) - 1:
-        raise InputError(f"rho = {rho} does not match {len(values)} moments")
-    if rho < 1:
-        raise InputError("need at least the moments s_0 and s_1 (rho >= 1)")
     return MomentSequence(rho=rho, values=values)
 
 

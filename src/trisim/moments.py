@@ -133,10 +133,16 @@ class CircleSolution:
 
 
 def solve_rho1(s0: float, s1: complex) -> AtomicMeasure:
-    """One atom at s1/s0 with mass s0 reproduces (s_0, s_1) exactly."""
+    """One atom at s1/s0 with mass s0 reproduces (s_0, s_1) exactly.
+    Raises ``PreconditionError`` when s1/s0 is past the float64 range."""
     if s0 <= 0:
         raise InputError("s_0 must be strictly positive")
-    return AtomicMeasure(np.array([complex(s1) / s0]), np.array([float(s0)]))
+    atom = complex(s1) / s0
+    if not np.isfinite(atom):
+        raise PreconditionError(
+            f"precision exhausted: s_1/s_0 = ({complex(s1):.3g})/{s0:.3g} is past the float64 range"
+        )
+    return AtomicMeasure(np.array([atom]), np.array([float(s0)]))
 
 
 def toeplitz_solvability(ctilde: complex, rho: int) -> float:

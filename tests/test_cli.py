@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import os
@@ -13,16 +14,29 @@ from hypothesis import strategies as st
 
 import trisim
 from trisim import cli
-from trisim.cli import main
 from trisim import io
 from trisim.core import (
+    DEFAULT_TOL,
     ConsistencyError,
     TridiagonalSymmetric,
     random_class_matrix,
 )
 from trisim.io import complex_array, cvector_to_json
-from trisim.moments import RadiusSchedule
-from trisim.similarity import build_transform, verify_similarity
+from trisim.cli import (
+    _tol,
+    cmd_canonicalize,
+    cmd_classify,
+    cmd_gen,
+    cmd_moments,
+    cmd_similarity,
+    cmd_solve,
+    cmd_verify,
+    main,
+)
+from trisim.moments import MASS_DELTA, RADIUS_RATIO, RadiusSchedule
+from trisim.similarity import ORTHONORMALITY_TOL, build_transform, verify_similarity
+
+COMMANDS = ["classify", "canonicalize", "moments", "solve", "similarity", "verify", "gen"]
 
 
 def write(tmp_path, name, obj):
@@ -78,6 +92,16 @@ class TestGen:
 
     def test_rejects_d_below_two(self):
         assert main(["gen", "--seed", "1", "--d", "1"]) == 2
+
+    @pytest.mark.parametrize("d", [10**20, 2**60])
+    def test_unallocatable_dimension_exits_3(self, d):
+        # numpy refuses both sizes before it allocates anything: 10**20 is
+        # past intp, and 8 * 2**60 bytes is past it too
+        proc = run_fresh("gen", "--seed", "1", "--d", str(d))
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"precondition violated: the arrays of a d = {d} matrix cannot be allocated\n"
+        )
 
     def test_rejects_negative_seed(self, capsys):
         # numpy's generator would reject it with a ValueError traceback
@@ -287,6 +311,25 @@ class TestSolve:
         assert json.loads(capsys.readouterr().out)["max_residual"] == 0
         for flag, value in [("--gamma", "0.5"), ("--delta", "0.7")]:
             assert main(["solve", "--input", inp, flag, value]) == 2
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"rho": 3, "s": [[1, 0], [0, 0]]}, "expected 4 moments, got 2"),
+            ({"rho": 0, "s": [[1, 0]]}, "rho must be at least 1"),
+        ],
+    )
+    def test_rho_out_of_step_with_s_exits_2(self, tmp_path, capsys, doc, message):
+        assert main(["solve", "--input", write(tmp_path, "m.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("s", [[[1e-300, 0], [1e300, 0]], [[5e-324, 0], [1, 0]]])
+    def test_rho_one_atom_past_float64_exits_3(self, tmp_path, s):
+        # s_1 / s_0 is inf; it used to exit 2 naming atoms the input never gave
+        proc = run_fresh("solve", "--input", write(tmp_path, "m.json", {"rho": 1, "s": s}))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("precondition violated: precision exhausted: s_1/s_0 = ")
+        assert proc.stderr.count("\n") == 1
 
     def test_nonpositive_s0(self, tmp_path):
         inp = write(tmp_path, "m.json", {"s": [[-1, 0], [0, 0], [0, 0]]})
@@ -647,42 +690,178 @@ class TestFileErrors:
         assert "Traceback" not in proc.stderr
 
 
+# The argparse sub-parser layout that cli.parse_args replaced, kept verbatim
+# as the reference: parse_args must give its help texts, error messages, exit
+# codes and parsed values.
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser; given ``argv``, only the commands it names get
+    their flags.  argparse hands the arguments after the command to that
+    command's subparser alone, so the parse is the same as with every flag,
+    and adding the other commands' flags would cost more than the parse."""
+    parser = argparse.ArgumentParser(
+        prog="trisim",
+        description="Tridiagonal complex symmetric operators: moment problems "
+        "and the similarity to rank-one perturbations of restrictions of "
+        "normal operators.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "input": dict(help="input JSON file"),
+        "output": dict(help="output JSON file (stdout if omitted)"),
+        "tol": dict(type=_tol, default=DEFAULT_TOL),
+        "rho": dict(type=int),
+        "gamma": dict(type=float, default=RADIUS_RATIO),
+        "delta": dict(type=float, default=MASS_DELTA),
+        "seed": dict(type=int),
+        "d": dict(type=int, default=2),
+    }
+    # each command takes only the flags it reads
+    commands = {
+        "classify": (cmd_classify, "input output tol"),
+        "canonicalize": (cmd_canonicalize, "input output tol"),
+        "moments": (cmd_moments, "input output rho"),
+        "solve": (cmd_solve, "input output tol gamma delta"),
+        "similarity": (cmd_similarity, "input output tol rho gamma delta"),
+        "verify": (cmd_verify, "input output tol"),
+        "gen": (cmd_gen, "output seed d"),
+    }
+    for name, (fn, names) in commands.items():
+        # no prefix matching, so that "--d" cannot stand for "--delta"
+        p = sub.add_parser(name, allow_abbrev=False)
+        if argv is None or name in argv:
+            for flag in names.split():
+                p.add_argument("--" + flag, **flags[flag])
+        p.set_defaults(handler=fn)
+    sub.choices["similarity"].set_defaults(tol=ORTHONORMALITY_TOL)
+    return parser
+
+
+# argv lists that parse, each command's own flags in every form
+PARSED_ARGVS = [
+    ["similarity", "--input", "x.json", "--tol", "1e-3", "--gamma", "2"],
+    ["solve", "--input", "x.json", "--delta", "0.1"],
+    ["gen", "--seed", "3", "--d", "5", "--output", "similarity"],
+    ["moments", "--input", "x.json", "--rho", "4"],
+    *[[command] for command in COMMANDS],
+    ["classify", "--input", "x.json", "--output", "y.json", "--tol", "1e-3"],
+    ["canonicalize", "--input", "x.json", "--tol", "0"],
+    ["solve", "--input", "x.json", "--delta", "0.1", "--gamma", "3"],
+    ["similarity", "--input", "x.json", "--tol", "1e-3", "--gamma", "2", "--rho", "9"],
+    ["verify", "--output", "y.json", "--input", "x.json"],
+    # --flag=value
+    ["similarity", "--input=x.json", "--tol=1e-3"],
+    ["gen", "--seed=3", "--d=5"],
+    ["solve", "--gamma=2", "--input=x.json"],
+    ["moments", "--rho=4", "--input=x.json"],
+    # repeated flags: the last one counts
+    ["gen", "--seed", "1", "--seed", "2"],
+    ["similarity", "--input", "a", "--input", "b", "--tol", "1", "--tol", "2"],
+    # a command name where a flag value goes
+    ["classify", "--output", "gen", "--input", "x.json"],
+    ["gen", "--output", "verify", "--seed", "2", "--d", "3"],
+]
+
+# argv lists that print help or an error and exit
+EXITING_ARGVS = [
+    [],
+    ["-h"],
+    ["similarity", "--help"],
+    ["bogus", "--input", "x.json"],
+    ["classify", "--input", "x.json", "--gamma", "0.1"],
+    ["verify", "--input", "x.json", "stray"],
+    # no command, an unknown command, and help before the command
+    ["bogus"],
+    ["--help"],
+    ["-h", "similarity"],
+    ["similarity", "-h", "--input", "x.json"],
+    *[[command, "-h"] for command in COMMANDS],
+    *[[command, "--help"] for command in COMMANDS if command != "similarity"],
+    # each command with a flag it does not read
+    ["canonicalize", "--input", "x.json", "--rho", "3"],
+    ["moments", "--input", "x.json", "--tol", "1e-3"],
+    ["solve", "--input", "x.json", "--seed", "1"],
+    ["similarity", "--input", "x.json", "--d", "4"],
+    ["verify", "--input", "x.json", "--delta", "0.1", "--gamma", "2"],
+    ["gen", "--seed", "1", "--input", "x.json"],
+    # no prefix matching
+    ["gen", "--se", "1"],
+    ["solve", "--input", "x.json", "--gam", "2"],
+    ["similarity", "--in", "x.json"],
+    # stray positionals, before and after the command
+    ["gen", "stray", "--seed", "1"],
+    ["similarity", "a", "b"],
+    ["--input", "x.json", "classify"],
+    # --
+    ["similarity", "--", "--input", "x.json"],
+    ["--", "gen", "--seed", "1"],
+    ["gen", "--seed", "1", "--"],
+    ["classify", "--input", "--", "x.json"],
+    # unknown short options
+    ["gen", "-x"],
+    ["similarity", "-i", "x.json"],
+    ["-v", "gen"],
+    ["classify", "-t", "1", "--input", "x.json"],
+    # bad values and missing values
+    ["classify", "--input", "x.json", "--tol", "nan"],
+    ["classify", "--input", "x.json", "--tol", "-1"],
+    ["similarity", "--input", "x.json", "--tol", "inf"],
+    ["solve", "--input", "x.json", "--tol", "abc"],
+    ["gen", "--seed", "x"],
+    ["gen", "--seed", "1.5"],
+    ["gen", "--seed", "1", "--d", "two"],
+    ["moments", "--input", "x.json", "--rho", "1.5"],
+    ["similarity", "--input"],
+    ["gen", "--d"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """Namespace less its handler, exit code, stdout and stderr of one parse."""
+    try:
+        args, code = vars(parse(argv)), None
+        assert callable(args.pop("handler"))
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return args, code, capsys.readouterr()
+
+
+def assert_parity(argv, capsys):
+    """cli.parse_args does what the reference does, in its argv mode and in
+    its every-flag mode, and returns the outcome."""
+    outcome = parse_outcome(cli.parse_args, argv, capsys)
+    for parser in (build_parser(argv), build_parser()):
+        assert parse_outcome(parser.parse_args, argv, capsys) == outcome
+    return outcome
+
+
 class TestParser:
-    # main builds a parser with flags for the commands named in argv only
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["similarity", "--input", "x.json", "--tol", "1e-3", "--gamma", "2"],
-            ["solve", "--input", "x.json", "--delta", "0.1"],
-            ["gen", "--seed", "3", "--d", "5", "--output", "similarity"],
-            ["moments", "--input", "x.json", "--rho", "4"],
-        ],
-    )
-    def test_parse_is_that_of_the_full_parser(self, argv):
-        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
+    @pytest.mark.parametrize("argv", PARSED_ARGVS)
+    def test_parse_is_that_of_the_full_parser(self, argv, capsys):
+        args, code, (out, err) = assert_parity(argv, capsys)
+        assert args["command"] == argv[0] and code is None and out == err == ""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            [],
-            ["-h"],
-            ["similarity", "--help"],
-            ["bogus", "--input", "x.json"],
-            ["classify", "--input", "x.json", "--gamma", "0.1"],
-            ["verify", "--input", "x.json", "stray"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", EXITING_ARGVS)
     def test_help_and_errors_are_those_of_the_full_parser(self, argv, capsys):
-        seen = []
-        for parser in (cli.build_parser(argv), cli.build_parser()):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args(argv)
-            seen.append((exc.value.code, capsys.readouterr()))
-        assert seen[0] == seen[1]
+        args, code, (out, err) = assert_parity(argv, capsys)
+        assert args is None and code in (0, 2) and (out if code == 0 else err)
 
-    def test_unnamed_commands_get_no_flags(self):
-        with pytest.raises(SystemExit):
-            cli.build_parser(["gen"]).parse_args(["similarity", "--input", "x.json"])
+    def test_handler_is_the_named_commands(self):
+        for command in COMMANDS:
+            assert cli.parse_args([command]).handler is getattr(cli, f"cmd_{command}")
+
+    @pytest.mark.parametrize("command", ["gen", "similarity"])
+    def test_one_call_builds_two_parsers(self, command, tmp_path, monkeypatch):
+        flags = ["--seed", "1"] if command == "gen" else ["--input", chain_file(tmp_path)]
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main([command, *flags, "--output", str(tmp_path / "out.json")]) == 0
+        assert progs == ["trisim", f"trisim {command}"]
 
 
 class TestCanonicalizeCommand:
@@ -814,6 +993,8 @@ class TestFuzz:
     )
     @example(doc={"rho": 2, "s": [[2, 0], [1.5e308, 1.5e308], [0, 0]]}, command="solve")
     @example(doc={"rho": 2, "s": [[5e-324, 0], [1, 0], [0, 0]]}, command="solve")
+    @example(doc={"rho": 1, "s": [[1e-300, 0], [1e300, 0]]}, command="solve")
+    @example(doc={"rho": 1, "s": [[5e-324, 0], [1, 0]]}, command="solve")
     @example(doc={"s": [[0, 10**400]]}, command="solve")
     @example(doc={"kind": "tridiagonal", "diag": [[0, 10**400]]}, command="classify")
     def test_any_document_gets_an_exit_code(self, tmp_path_factory, doc, command):

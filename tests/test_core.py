@@ -10,6 +10,7 @@ from trisim.core import (
     AtomicMeasure,
     ConjugationMap,
     InputError,
+    PreconditionError,
     TridiagonalSymmetric,
     as_complex_vector,
     bilinear_gram,
@@ -184,6 +185,15 @@ class TestDomainTypes:
     def test_measure_rejects_empty(self):
         with pytest.raises(InputError):
             AtomicMeasure(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("d", [10**20, 2**60])
+    def test_random_class_matrix_past_intp_is_a_precondition(self, d):
+        # sizes numpy refuses before it allocates; the InputError checks
+        # (also ValueErrors) still run first
+        with pytest.raises(PreconditionError, match=f"d = {d} matrix cannot be allocated"):
+            random_class_matrix(0, d)
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            random_class_matrix(-1, d)
 
     def test_tridiagonal_dense_roundtrip(self):
         m = TridiagonalSymmetric([1, 2j, 3], [4, 5j])

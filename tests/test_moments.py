@@ -125,6 +125,12 @@ class TestSolveRho1:
         with pytest.raises(InputError):
             solve_rho1(0.0, 1)
 
+    @pytest.mark.parametrize("s0, s1", [(1e-300, 1e300), (5e-324, 1), (1e-10, 1e308 + 1e308j)])
+    def test_atom_past_float64_is_a_precondition(self, s0, s1):
+        # Python's complex division returns inf here, with no numpy warning
+        with pytest.raises(PreconditionError, match="^precision exhausted: s_1/s_0 = "):
+            solve_rho1(s0, s1)
+
 
 class TestToeplitzSolvability:
     def test_zero_target(self):
