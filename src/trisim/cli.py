@@ -234,10 +234,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     sub = argparse.ArgumentParser(prog=f"trisim {command}", allow_abbrev=False)
     for flag in names.split():
         sub.add_argument("--" + flag, **flags[flag])
-    args, more = sub.parse_known_args(rest, argparse.Namespace(command=command))
+    args, more = sub.parse_known_args(rest, argparse.Namespace(command=command, handler=handler))
     if unknown or more:  # argparse reports a sub-parser's leftovers at the top
         parser.error(f"unrecognized arguments: {' '.join(unknown + more)}")
-    args.handler = handler
     return args
 
 
