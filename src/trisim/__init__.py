@@ -9,7 +9,6 @@ from .core import (
     PreconditionError,
     ConsistencyError,
     TridiagonalSymmetric,
-    bilinear_gram,
 )
 from .classify import (
     CanonicalForm,

@@ -1,13 +1,6 @@
-"""Shared numerical domain types and the bilinear pairing.
+"""Shared numerical domain types, their conversions and the input guards.
 
-Everything downstream works with dense complex128 arrays.  The one
-distinction that matters throughout is between the sesquilinear L^2(mu)
-inner product (second argument conjugated, the Hilbert-space pairing) and
-the bilinear moment pairing (no conjugation, the pairing under which the
-recurrence polynomials are orthonormal).  Mixing them up is the classic
-bug in this problem domain.  ``bilinear_gram`` is the one pairing; the
-L^2(mu) product of f and g is its entry for the conjugated stack
-[f, conj(g)].
+Everything downstream works with dense complex128 arrays.
 """
 
 from __future__ import annotations
@@ -172,27 +165,6 @@ class AtomicMeasure:
     def moment(self, k: int) -> complex:
         """Exact atom sum for the k-th power moment."""
         return complex(np.sum(self.masses * self.atoms**k))
-
-
-def bilinear_gram(values, mu: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """(gram, scales) of a stack of per-atom values, one row per function.
-
-    gram[k, l] = sum_j m_j f_k(z_j) f_l(z_j), with no conjugation: the
-    pairing under which the recurrence polynomials are orthonormal.
-    scales[k, l] = sum_j m_j |f_k(z_j)| |f_l(z_j)| is the largest magnitude
-    entering each entry.  The L^2(mu) inner product of f and g is the
-    off-diagonal entry for the stack [f, conj(g)].
-
-    Both are Grams of one matrix: with V = f sqrt(m), gram = V V^T and
-    scales = |V| |V|^T, each a single BLAS syrk that does half the
-    multiply-adds of a general product and is exactly symmetric.
-    """
-    p = np.asarray(values, dtype=np.complex128)
-    if p.ndim != 2 or p.shape[1] != mu.n_atoms:
-        raise InputError(f"values need one column per atom, got shape {p.shape}")
-    v = p * np.sqrt(mu.masses)
-    av = np.abs(v)
-    return v @ v.T, av @ av.T
 
 
 @dataclass

@@ -11,6 +11,7 @@ keys (``python -m json.tool out.json`` pretty-prints it).
 from __future__ import annotations
 
 import json
+import reprlib
 
 import numpy as np
 
@@ -88,7 +89,7 @@ def operator_from_json(obj: dict) -> TridiagonalSymmetric | np.ndarray:
         if rows.shape[0] < 2:
             raise InputError("dimension must be at least 2")
         return rows
-    raise InputError(f"unknown operator kind {kind!r}")
+    raise InputError(f"unknown operator kind {reprlib.repr(kind)}")
 
 
 def conjugation_from_json(obj: dict) -> ConjugationMap | None:
@@ -138,7 +139,7 @@ def moments_from_json(obj: dict) -> MomentSequence:
     if isinstance(rho, float) and rho.is_integer():
         rho = int(rho)
     if not isinstance(rho, int) or isinstance(rho, bool):
-        raise InputError(f"rho must be an integer, got {rho!r}")
+        raise InputError(f"rho must be an integer, got {reprlib.repr(rho)}")
     return MomentSequence(rho=rho, values=values)
 
 
@@ -163,10 +164,10 @@ def load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON in {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise InputError(f"cannot read {path}: not UTF-8 text ({e})") from None
+    except ValueError as e:  # a JSONDecodeError, or an integer past the int digit limit
+        raise InputError(f"invalid JSON in {path}: {e}") from None
     except RecursionError:
         raise InputError(f"JSON in {path} is nested too deeply") from None
     except OSError as e:

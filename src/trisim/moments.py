@@ -19,6 +19,7 @@ single-frequency case of the same circle.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,8 @@ class MomentSequence:
         if self.rho < 1:
             raise InputError("rho must be at least 1")
         if len(self.values) != self.rho + 1:
-            raise InputError(f"expected {self.rho + 1} moments, got {len(self.values)}")
+            want = reprlib.repr(self.rho + 1)
+            raise InputError(f"expected {want} moments, got {len(self.values)}")
         s0 = self.values[0]
         if abs(s0.imag) > 1e-12 * max(1.0, abs(s0)) or s0.real <= 0:
             raise InputError("s_0 must be real and strictly positive")

@@ -7,6 +7,12 @@ vector u_k to p_k(z) defines a transform T into L^2 of the measure, and
 conjugating the operator by T exposes it as multiplication by z on
 polynomials of degree < d plus a rank-one term supported on the top
 basis vector.  Everything here is checked numerically at the atoms.
+
+Two pairings meet here, and mixing them up is the classic bug in this
+problem domain: the bilinear moment pairing sum_j m_j f(z_j) g(z_j), with
+no conjugation, under which the p_n are orthonormal
+(``orthonormality_residuals``), and the sesquilinear L^2 product, second
+argument conjugated, in which T is invertible (``check_invertible``).
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .core import (
     ConsistencyError,
     InputError,
     TridiagonalSymmetric,
-    bilinear_gram,
     require_finite,
 )
 from .moments import (
@@ -147,7 +152,12 @@ class SimilarityData:
     dim: int
     rank_one_scale: complex  # a_{d-1} of the extended matrix
     # values p_n(z_j), n = 0..d, at the atoms (recurrence path)
-    poly_at_atoms: np.ndarray = field(repr=False, default=None)
+    poly_at_atoms: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        want, got = (self.dim + 1, self.measure.n_atoms), np.shape(self.poly_at_atoms)
+        if got != want:
+            raise InputError(f"poly_at_atoms must be (dim + 1)-by-n_atoms, {want}, got {got}")
 
 
 def orthonormality_residuals(
@@ -156,15 +166,22 @@ def orthonormality_residuals(
     """Relative deviation of the bilinear Gram matrix from the identity.
 
     Entry (m, n) is |sum_j w_j p_n p_m - delta| divided by the largest
-    magnitude entering that sum; the values at the circle atoms span many
-    decades, so the zero test must be relative.  Raises
-    ``PreconditionError`` naming the first degree whose scale overflows.
+    magnitude entering that sum, sum_j w_j |p_n| |p_m|; the values at the
+    circle atoms span many decades, so the zero test must be relative.
+    Both sums are Grams of V = p sqrt(w), V V^T and |V| |V|^T, each one
+    BLAS syrk that is exactly symmetric.  Raises ``PreconditionError``
+    naming the first degree whose scale overflows.
     """
+    p = np.asarray(poly_at_atoms[: n_max + 1], dtype=np.complex128)
+    if p.ndim != 2 or p.shape[1] != mu.n_atoms:
+        raise InputError(f"values need one column per atom, got shape {p.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        gram, scales = bilinear_gram(poly_at_atoms[: n_max + 1], mu)
+        v = p * np.sqrt(mu.masses)
+        av = np.abs(v)
+        gram, scales = v @ v.T, av @ av.T
     # by Cauchy-Schwarz, entry (i, j) overflows only if (i, i) or (j, j) does
     require_finite(np.diagonal(scales), lambda n: f"polynomial degree {n}: a Gram scale "
-                   f"overflows at max|p_{n}| = {np.max(np.abs(poly_at_atoms[n])):.3g}")
+                   f"overflows at max|p_{n}| = {np.max(np.abs(p[n])):.3g}")
     return np.abs(gram - np.eye(n_max + 1)) / np.maximum(1.0, scales)
 
 

@@ -660,6 +660,26 @@ class TestRoundTrip:
 
 
 class TestFileErrors:
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("solve", json.dumps({"rho": 1e300, "s": [[1, 0]]})),
+            ("solve", '{"rho": %d, "s": [[1, 0]]}' % 10**399),
+            ("solve", json.dumps({"rho": "x" * 100000, "s": [[1, 0]]})),
+            ("classify", json.dumps({"kind": "y" * 100000})),
+            # past the digits Python converts to an int
+            ("solve", '{"rho": %s, "s": [[1, 0]]}' % ("9" * 5000)),
+        ],
+        ids=["rho-1e300", "rho-400-digits", "rho-100000-chars", "kind-100000-chars", "rho-5000-digits"],
+    )
+    def test_huge_input_values_are_cut_in_the_message(self, tmp_path, capsys, command, text):
+        p = tmp_path / "in.json"
+        p.write_text(text)
+        assert main([command, "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) <= 200 + len(str(p))
+
     def test_non_utf8_input_exits_2(self, tmp_path):
         p = tmp_path / "op.json"
         p.write_bytes(b"\xff" + Path(chain_file(tmp_path)).read_bytes())

@@ -13,11 +13,10 @@ from trisim.core import (
     PreconditionError,
     TridiagonalSymmetric,
     as_complex_vector,
-    bilinear_gram,
     random_class_matrix,
 )
 from trisim.io import complex_array, complex_to_json, cvector_to_json
-from trisim.similarity import build_transform
+from trisim.similarity import build_transform, orthonormality_residuals
 
 
 def gram_det(vectors) -> complex:
@@ -94,42 +93,50 @@ def unit_atom():
     return AtomicMeasure(np.array([2 + 2j]), np.array([0.5]))
 
 
+def reference_bilinear_gram(values, mu):
+    """The pairing function that orthonormality_residuals used to call,
+    kept verbatim as the reference for bit-identity."""
+    p = np.asarray(values, dtype=np.complex128)
+    if p.ndim != 2 or p.shape[1] != mu.n_atoms:
+        raise InputError(f"values need one column per atom, got shape {p.shape}")
+    v = p * np.sqrt(mu.masses)
+    av = np.abs(v)
+    return v @ v.T, av @ av.T
+
+
 class TestPairings:
+    """The bilinear pairing as ``orthonormality_residuals`` forms it: entry
+    (k, l) is |sum_j m_j f_k f_l - delta_kl| / max(1, sum_j m_j |f_k| |f_l|)."""
+
     def test_inner_normalization(self):
         mu = AtomicMeasure(np.array([0.3 + 0.1j]), np.array([1.0]))
-        gram, _ = bilinear_gram(np.ones((1, 1)), mu)
-        assert gram[0, 0] == pytest.approx(1)
+        assert orthonormality_residuals(np.ones((1, 1)), mu, 0)[0, 0] == 0
 
     def test_inner_single_atom_first_moment(self, unit_atom):
-        # integral of z against the atom (2+2i, 1/2) is 1+i
-        z = unit_atom.atoms
-        gram, _ = bilinear_gram([z, np.ones(1)], unit_atom)
-        assert gram[0, 1] == pytest.approx(1 + 1j)
-
-    def test_inner_quadratic(self, unit_atom):
-        # the L^2(mu) product is the entry of the conjugated stack
-        z = unit_atom.atoms
-        gram, _ = bilinear_gram([z, np.conj(z)], unit_atom)
-        assert gram[0, 1] == pytest.approx(0.5 * abs(2 + 2j) ** 2)
+        # against the atom (2+2i, 1/2): the integral of z is 1+i, of z^2 is
+        # 4i (not the 4 of |z|^2), each over its scale sqrt(2) and 4
+        res = orthonormality_residuals([unit_atom.atoms, np.ones(1)], unit_atom, 1)
+        assert res[0, 1] == pytest.approx(abs(1 + 1j) / np.sqrt(2))
+        assert res[0, 0] == pytest.approx(abs(4j - 1) / 4)
+        assert res[1, 1] == pytest.approx(0.5)
 
     def test_bilinear_vs_sesquilinear_at_i(self):
+        # p = z at the atom i pairs to i^2 = -1 with itself, 2 away from 1;
+        # the sesquilinear product |i|^2 = 1 would read 0
         mu = AtomicMeasure(np.array([1j]), np.array([1.0]))
-        z = mu.atoms
-        gram, _ = bilinear_gram([z, np.conj(z)], mu)
-        assert gram[0, 0] == pytest.approx(-1)
-        assert gram[0, 1] == pytest.approx(1)
+        assert orthonormality_residuals(mu.atoms[None, :], mu, 0)[0, 0] == pytest.approx(2)
 
     def test_accepts_value_arrays(self, unit_atom):
         # a list of per-atom arrays and a 2-d array are the same stack
         vals = unit_atom.atoms
-        for stack in ([vals, np.ones(1)], np.array([vals, np.ones(1)])):
-            gram, _ = bilinear_gram(stack, unit_atom)
-            assert gram[0, 1] == pytest.approx(1 + 1j)
+        as_list = orthonormality_residuals([vals, np.ones(1)], unit_atom, 1)
+        as_array = orthonormality_residuals(np.array([vals, np.ones(1)]), unit_atom, 1)
+        assert np.array_equal(as_list, as_array)
 
     def test_rejects_shape_mismatch(self, unit_atom):
         for values in (np.ones(1), np.ones((2, 2)), np.ones((1, 1, 1))):
             with pytest.raises(InputError, match="one column per atom"):
-                bilinear_gram(values, unit_atom)
+                orthonormality_residuals(values, unit_atom, 1)
 
     @given(
         fs=st.lists(finite_complex, min_size=3, max_size=3),
@@ -137,34 +144,36 @@ class TestPairings:
     )
     @settings(max_examples=50)
     def test_symmetry_laws(self, fs, gs):
-        # V V^T and |V| |V|^T are exactly symmetric; |g|^2 is not bitwise
-        # |g^2|, so the other laws hold to a few ulps of the magnitudes
-        # entering each entry
+        # V V^T and |V| |V|^T are exactly symmetric, so the residuals are;
+        # |gram| <= scales puts every off-diagonal residual within 1, up to
+        # a few ulps
         mu = AtomicMeasure(np.array([0.0, 1.0, 1j]), np.array([0.5, 0.25, 0.25]))
-        f = np.array(fs)
-        g = np.array(gs)
-        gram, scales = bilinear_gram([f, g], mu)
-        assert np.array_equal(gram, gram.T)
-        assert np.array_equal(scales, scales.T)
-        assert np.all(np.abs(gram) <= (1 + 1e-15) * scales)
-        sesq, sesq_scales = bilinear_gram([f, np.conj(f)], mu)
-        quad = sesq[0, 1]
-        assert abs(quad.imag) <= 1e-15 * sesq_scales[0, 1]
-        assert quad.real >= -1e-15 * sesq_scales[0, 1]
+        res = orthonormality_residuals([np.array(fs), np.array(gs)], mu, 1)
+        assert np.array_equal(res, res.T)
+        assert res[0, 1] <= 1 + 1e-15
 
     @pytest.mark.parametrize("d", [8, 32, 64])
     def test_matches_the_direct_sum_on_circle_measures(self, d):
-        # sum_j m_j f_k f_l term by term, with no sqrt(m) split and no BLAS
+        # sum_j m_j f_k f_l term by term, with no sqrt(m) split and no BLAS:
+        # the Gram agrees to 4 eps of its scale, the scale to n_atoms eps
         eps = np.finfo(np.float64).eps
         for seed in range(5):
             data = build_transform(random_class_matrix(seed, d))
             f, mu = data.poly_at_atoms, data.measure
-            gram, scales = bilinear_gram(f, mu)
             direct = np.einsum("j,kj,lj->kl", mu.masses, f, f)
             direct_scales = np.einsum("j,kj,lj->kl", mu.masses, np.abs(f), np.abs(f))
-            assert np.all(np.abs(gram - direct) <= 4 * eps * direct_scales)
-            # a sum of n nonnegative terms is accurate to n eps relative
-            assert np.all(np.abs(scales - direct_scales) <= mu.n_atoms * eps * direct_scales)
+            want = np.abs(direct - np.eye(d + 1)) / np.maximum(1.0, direct_scales)
+            res = orthonormality_residuals(f, mu, d)
+            assert np.all(np.abs(res - want) <= 8 * eps + 2 * mu.n_atoms * eps * want)
+
+    @pytest.mark.parametrize("d", [2, 8, 48])
+    def test_bit_identical_to_the_reference_pairing(self, d):
+        for seed in range(5):
+            data = build_transform(random_class_matrix(seed, d))
+            f, mu = data.poly_at_atoms, data.measure
+            gram, scales = reference_bilinear_gram(f[: d + 1], mu)
+            want = np.abs(gram - np.eye(d + 1)) / np.maximum(1.0, scales)
+            assert np.array_equal(orthonormality_residuals(f, mu, d), want)
 
 
 class TestDomainTypes:
@@ -390,3 +399,24 @@ class TestComplexJson:
     def test_malformed_pair(self):
         with pytest.raises(InputError):
             complex_array([1.0], 0, "z")
+
+    @pytest.mark.parametrize(
+        "read, obj, message",
+        [
+            (io.moments_from_json, {"rho": "x" * 100000, "s": [[1, 0]]}, "rho must be an integer, got 'x"),
+            (io.moments_from_json, {"rho": [1] * 100000, "s": [[1, 0]]}, "rho must be an integer, got [1, "),
+            (io.operator_from_json, {"kind": "y" * 100000}, "unknown operator kind 'y"),
+        ],
+        ids=["rho-string", "rho-list", "kind-string"],
+    )
+    def test_messages_cut_a_huge_echoed_value(self, read, obj, message):
+        with pytest.raises(InputError) as exc:
+            read(obj)
+        assert str(exc.value).startswith(message) and "..." in str(exc.value)
+        assert len(str(exc.value)) <= 80
+
+    def test_messages_echo_a_small_value_whole(self):
+        with pytest.raises(InputError, match=r"^rho must be an integer, got 'three'$"):
+            io.moments_from_json({"rho": "three", "s": [[1, 0]]})
+        with pytest.raises(InputError, match=r"^unknown operator kind 'banded'$"):
+            io.operator_from_json({"kind": "banded"})

@@ -445,3 +445,10 @@ class TestMomentSequence:
     def test_rejects_length_mismatch(self):
         with pytest.raises(InputError):
             MomentSequence(2, np.array([1.0, 0]))
+
+    @pytest.mark.parametrize("rho", [int(1e300), 10**399], ids=["1e300", "10**399"])
+    def test_length_message_bounds_a_huge_rho(self, rho):
+        # the echo is cut to about 40 characters; TestSolve pins a small rho printed whole
+        with pytest.raises(InputError, match=r"^expected 1\d+\.\.\.\d+ moments, got 2$") as exc:
+            MomentSequence(rho, np.array([1.0, 0]))
+        assert len(str(exc.value)) <= 80

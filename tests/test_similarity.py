@@ -406,14 +406,11 @@ class TestCheckInvertible:
         fake = data.poly_at_atoms.copy()
         fake[:, 1] = fake[:, 0]
         sham = SimilarityData(
-            measure=data.measure,
+            measure=type(data.measure)(data.measure.atoms[:2], data.measure.masses[:2]),
             polys=data.polys,
             dim=2,
             rank_one_scale=data.rank_one_scale,
             poly_at_atoms=fake[:, :2],
-        )
-        sham.measure = type(data.measure)(
-            data.measure.atoms[:2], data.measure.masses[:2]
         )
         assert check_invertible(sham) < 1e-12
 
@@ -465,6 +462,31 @@ class TestCheckInvertible:
         )
         with pytest.raises(InputError):
             check_invertible(tiny)
+
+
+class TestSimilarityDataShape:
+    """poly_at_atoms is required and (dim + 1)-by-n_atoms, so neither check
+    meets a missing, mis-shaped or short value table."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return build_transform(random_class_matrix(0, 4))  # 20 atoms
+
+    def test_values_are_required(self, data):
+        fields = {f: getattr(data, f) for f in ("measure", "polys", "dim", "rank_one_scale")}
+        with pytest.raises(TypeError, match="poly_at_atoms"):
+            SimilarityData(**fields)
+        with pytest.raises(InputError, match=r"\(5, 20\), got \(\)"):
+            SimilarityData(**fields, poly_at_atoms=None)
+
+    def test_rejects_a_column_count_that_is_not_the_atom_count(self, data):
+        fewer = type(data.measure)(data.measure.atoms[:10], data.measure.masses[:10])
+        with pytest.raises(InputError, match=r"\(5, 10\), got \(5, 20\)"):
+            dataclasses.replace(data, measure=fewer)
+
+    def test_rejects_too_few_rows(self, data):
+        with pytest.raises(InputError, match=r"\(5, 20\), got \(3, 20\)"):
+            dataclasses.replace(data, poly_at_atoms=data.poly_at_atoms[:3])
 
 
 class TestOverflowingScales:
