@@ -160,9 +160,7 @@ def cmd_similarity(args) -> int:
     failures = report.failures
     out = {
         "measure": io.measure_to_json(data.measure),
-        "polynomials": [
-            row[: n + 1] for n, row in enumerate(io.cvector_to_json(data.polys.coeffs))
-        ],
+        "recurrence": io.operator_to_json(data.polys.ext),
         "rank_one_scale": io.complex_to_json(data.rank_one_scale),
         "node_matrix_sigma_min": report.sigma_min,
         "orthonormality_residual": report.orthonormality,

@@ -5,6 +5,7 @@ Everything downstream works with dense complex128 arrays.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,7 @@ def random_class_matrix(seed: int, d: int) -> TridiagonalSymmetric:
         phases = rng.uniform(0, 2 * np.pi, d - 1)
         offdiag = radii * np.exp(1j * phases)
     except (MemoryError, ValueError):
+        d = reprlib.repr(d)
         raise PreconditionError(f"the arrays of a d = {d} matrix cannot be allocated") from None
     return TridiagonalSymmetric(diag, offdiag)
 

@@ -41,6 +41,9 @@ MASS_DELTA = 1e-3
 RADIUS_RATIO = 1.5  # default minimum of circle radius / |first atom|
 RADIUS_RTOL = 1e-3  # the circle radius is minimal to this relative accuracy
 _SECTION_POINTS = np.arange(1, 16) / 16  # where each step samples the radius bracket
+# cuts each of the three integers the moment-table error echoes to 30 characters
+_ECHO = reprlib.Repr()
+_ECHO.maxlong = 30
 
 
 @dataclass
@@ -103,8 +106,9 @@ def spectral_moments(
     try:  # the largest allocation goes first; numpy refuses a shape past intp with ValueError
         v = np.zeros((h + 1, h + 1), dtype=np.complex128)  # row j is v_j on rows 0..h
     except (MemoryError, ValueError):
+        n = _ECHO.repr(h + 1)
         raise PreconditionError(
-            f"rho = {rho} needs a {h + 1} x {h + 1} moment table "
+            f"rho = {_ECHO.repr(rho)} needs a {n} x {n} moment table "
             f"({_format_power_of_ten(math.log10(16 * (h + 1) ** 2))} bytes), which cannot be allocated"
         ) from None
     ext = extend_matrix(m, max(h + 1, m.dim))

@@ -2,10 +2,12 @@
 
 The three-term recurrence read off the extended matrix generates
 polynomials p_0, p_1, ... that are orthonormal under the *bilinear*
-pairing against the constructed measure.  Mapping the canonical basis
-vector u_k to p_k(z) defines a transform T into L^2 of the measure, and
-conjugating the operator by T exposes it as multiplication by z on
-polynomials of degree < d plus a rank-one term supported on the top
+pairing against the constructed measure.  The bands of that matrix are the
+family: ``eval_recurrence`` evaluates it in O(d) per point, and the
+``similarity`` command writes it as its ``"recurrence"``.  Mapping the
+canonical basis vector u_k to p_k(z) defines a transform T into L^2 of the
+measure, and conjugating the operator by T exposes it as multiplication by
+z on polynomials of degree < d plus a rank-one term supported on the top
 basis vector.  Everything here is checked numerically at the atoms.
 
 Two pairings meet here, and mixing them up is the classic bug in this
@@ -50,8 +52,9 @@ _GRAM_CUT = 1e-5
 @dataclass
 class PolynomialFamily:
     """The recurrence p_0 = 1, p_{n+1} = ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n
-    up to degree n_max, read off ``ext`` (at least n_max + 1 rows).  Its
-    monomial coefficient table is built on first read of ``coeffs``."""
+    up to degree n_max: the bands of ``ext`` (at least n_max + 1 rows) are
+    the family.  Its monomial table ``coeffs``, built on first read, serves
+    only ``poly_of_operator_vector``."""
 
     ext: TridiagonalSymmetric = field(repr=False)
     n_max: int
@@ -71,14 +74,6 @@ class PolynomialFamily:
             row /= ext.offdiag[n]
         return table
 
-    def eval(self, n: int, z) -> np.ndarray:
-        """Evaluate p_n from its coefficient row (the unstable path; used
-        only for cross-checks against the recurrence evaluation)."""
-        return np.polyval(self.coeffs[n, : n + 1][::-1], np.asarray(z))
-
-    def leading(self, n: int) -> complex:
-        return complex(self.coeffs[n, n])
-
 
 def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
     """The recurrence polynomials up to degree n_max, read off the extended
@@ -96,8 +91,8 @@ def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.
     """Values p_n(z_j) for n = 0..n_max by the three-term recurrence.
 
     ``ext`` is the matrix extended to at least n_max + 1 rows.  This is the
-    stable evaluation path; the coefficient table exists for degree
-    assertions and reports.
+    stable evaluation path; the coefficient table exists only for
+    ``poly_of_operator_vector``.
     """
     z = np.asarray(z, dtype=np.complex128)
     if n_max + 1 > ext.dim:

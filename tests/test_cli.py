@@ -34,7 +34,12 @@ from trisim.cli import (
     main,
 )
 from trisim.moments import MASS_DELTA, RADIUS_RATIO, RadiusSchedule
-from trisim.similarity import ORTHONORMALITY_TOL, build_transform, verify_similarity
+from trisim.similarity import (
+    ORTHONORMALITY_TOL,
+    build_transform,
+    eval_recurrence,
+    verify_similarity,
+)
 
 COMMANDS = ["classify", "canonicalize", "moments", "solve", "similarity", "verify", "gen"]
 
@@ -101,6 +106,14 @@ class TestGen:
         assert proc.returncode == 3
         assert proc.stderr == (
             f"precondition violated: the arrays of a d = {d} matrix cannot be allocated\n"
+        )
+
+    def test_huge_dimension_is_echoed_cut(self):
+        proc = run_fresh("gen", "--seed", "1", "--d", str(10**400))
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "precondition violated: the arrays of a d = "
+            "100000000000000000...0000000000000000000 matrix cannot be allocated\n"
         )
 
     def test_rejects_negative_seed(self, capsys):
@@ -375,15 +388,18 @@ class TestMomentsCommand:
         assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["moments", "similarity"])
-    @pytest.mark.parametrize("rho", [10**20, 10**400])
+    @pytest.mark.parametrize("rho", [10**20, 10**400, pytest.param(10**4000, id="10**4000")])
     def test_unallocatable_moment_table_exits_3(self, tmp_path, command, rho):
         # the (h+1)-by-(h+1) table is past any address space; numpy refuses it
         # before anything else of size O(rho) is built, and its byte count,
-        # past float64 at 10**400, is still named
+        # past float64 at 10**400, is still named; a rho past 30 digits is
+        # echoed cut, so the line stays under 200 bytes
         op = write(tmp_path, "op.json", io.operator_to_json(random_class_matrix(7, 4)))
         proc = run_fresh(command, "--input", op, "--rho", str(rho))
         assert proc.returncode == 3
-        assert proc.stderr.startswith(f"precondition violated: rho = {rho} needs a ")
+        echo = str(rho) if rho == 10**20 else "1" + "0" * 12 + "..." + "0" * 14
+        assert proc.stderr.startswith(f"precondition violated: rho = {echo} needs a ")
+        assert len(proc.stderr.encode()) <= 200
         assert "moment table (4e+" in proc.stderr and "cannot be allocated" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
@@ -625,10 +641,26 @@ class TestRoundTrip:
         mu = io.measure_from_json(result["measure"])
         assert np.array_equal(mu.atoms, data.measure.atoms)
         assert np.array_equal(mu.masses, data.measure.masses)
-        assert len(result["polynomials"]) == data.polys.n_max + 1
-        for n, row in enumerate(result["polynomials"]):
-            assert np.array_equal(complex_array(row, 1, "row"), data.polys.coeffs[n, : n + 1])
+        # the recurrence alone gives back the family at the atoms, bit for bit
+        ext = io.operator_from_json(result["recurrence"])
+        assert ext.dim == d + 1
+        assert np.array_equal(ext.diag[:d], tri.diag)
+        assert np.array_equal(ext.offdiag[: d - 1], tri.offdiag)
+        assert complex_array(result["rank_one_scale"], 0, "scale") == ext.offdiag[d - 1]
+        assert np.array_equal(eval_recurrence(ext, d, mu.atoms), data.poly_at_atoms)
         assert np.array_equal(np.array(result["residuals"]), report.residuals)
+
+    def test_similarity_never_builds_the_coefficient_table(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(build_transform(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_transform", spy)
+        op = write(tmp_path, "op.json", io.operator_to_json(random_class_matrix(12, 12)))
+        assert main(["similarity", "--input", op, "--output", str(tmp_path / "out.json")]) == 0
+        assert len(built) == 1 and "coeffs" not in vars(built[0].polys)
 
     def test_missing_input_flag(self):
         assert main(["classify"]) == 2
