@@ -161,7 +161,6 @@ def cmd_similarity(args) -> int:
     out = {
         "measure": io.measure_to_json(data.measure),
         "recurrence": io.operator_to_json(data.polys.ext),
-        "rank_one_scale": io.complex_to_json(data.rank_one_scale),
         "node_matrix_sigma_min": report.sigma_min,
         "orthonormality_residual": report.orthonormality,
         "residuals": report.residuals.tolist(),

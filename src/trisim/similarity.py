@@ -3,12 +3,14 @@
 The three-term recurrence read off the extended matrix generates
 polynomials p_0, p_1, ... that are orthonormal under the *bilinear*
 pairing against the constructed measure.  The bands of that matrix are the
-family: ``eval_recurrence`` evaluates it in O(d) per point, and the
-``similarity`` command writes it as its ``"recurrence"``.  Mapping the
-canonical basis vector u_k to p_k(z) defines a transform T into L^2 of the
-measure, and conjugating the operator by T exposes it as multiplication by
-z on polynomials of degree < d plus a rank-one term supported on the top
-basis vector.  Everything here is checked numerically at the atoms.
+family, held in no other form: ``eval_recurrence`` runs the recurrence at
+points in O(d) each, ``poly_of_operator_vector`` runs it on vectors, and
+the ``similarity`` command writes the bands as its ``"recurrence"``.
+Mapping the canonical basis vector u_k to p_k(z) defines a transform T
+into L^2 of the measure, and conjugating the operator by T exposes it as
+multiplication by z on polynomials of degree < d plus a rank-one term
+supported on the top basis vector.  Everything here is checked
+numerically at the atoms.
 
 Two pairings meet here, and mixing them up is the classic bug in this
 problem domain: the bilinear moment pairing sum_j m_j f(z_j) g(z_j), with
@@ -20,7 +22,6 @@ argument conjugated, in which T is invertible (``check_invertible``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,26 +54,10 @@ _GRAM_CUT = 1e-5
 class PolynomialFamily:
     """The recurrence p_0 = 1, p_{n+1} = ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n
     up to degree n_max: the bands of ``ext`` (at least n_max + 1 rows) are
-    the family.  Its monomial table ``coeffs``, built on first read, serves
-    only ``poly_of_operator_vector``."""
+    the family, and the family is held in no other form."""
 
     ext: TridiagonalSymmetric = field(repr=False)
     n_max: int
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        """Lower triangular; row n has degree exactly n, leading 1/(a_0 ... a_{n-1})."""
-        ext, n_max = self.ext, self.n_max
-        table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-        table[0, 0] = 1.0
-        for n in range(n_max):
-            row = table[n + 1]
-            row[1:] = table[n, :-1]  # z * p_n; p_n has degree n < n_max
-            row -= ext.diag[n] * table[n]
-            if n > 0:
-                row -= ext.offdiag[n - 1] * table[n - 1]
-            row /= ext.offdiag[n]
-        return table
 
 
 def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
@@ -90,9 +75,7 @@ def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
 def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.ndarray:
     """Values p_n(z_j) for n = 0..n_max by the three-term recurrence.
 
-    ``ext`` is the matrix extended to at least n_max + 1 rows.  This is the
-    stable evaluation path; the coefficient table exists only for
-    ``poly_of_operator_vector``.
+    ``ext`` is the matrix extended to at least n_max + 1 rows.
     """
     z = np.asarray(z, dtype=np.complex128)
     if n_max + 1 > ext.dim:
@@ -116,20 +99,26 @@ def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.
 def poly_of_operator_vector(
     m: TridiagonalSymmetric, family: PolynomialFamily, k: int
 ) -> np.ndarray:
-    """p_k(A) applied to e_0, by Horner evaluation on the dense matrix.
+    """p_k(A) e_0, by the family's recurrence run on vectors with A dense:
+    w_0 = e_0, w_{n+1} = ((A - b_n) w_n - a_{n-1} w_{n-1}) / a_n.
 
-    By the recurrence this equals the k-th standard basis vector; any
-    deviation signals a recurrence or extension bug.
+    When the family's leading bands are those of ``m`` this is the k-th
+    standard basis vector; any deviation signals a recurrence or extension
+    bug.
     """
     d = m.dim
-    if not 0 <= k <= d - 1:
-        raise InputError(f"k must lie in 0..{d - 1}")
-    a = m.dense()
-    out = np.zeros(d, dtype=np.complex128)
-    for c in family.coeffs[k, : k + 1][::-1]:
-        out = a @ out
-        out[0] += c  # + c e_0
-    return out
+    top = min(d - 1, family.n_max)
+    if not 0 <= k <= top:
+        raise InputError(f"k must lie in 0..{top}")
+    a, ext = m.dense(), family.ext
+    prev, w = np.zeros(d, dtype=np.complex128), np.zeros(d, dtype=np.complex128)
+    w[0] = 1.0
+    for n in range(k):
+        nxt = a @ w - ext.diag[n] * w
+        if n > 0:
+            nxt -= ext.offdiag[n - 1] * prev
+        prev, w = w, nxt / ext.offdiag[n]
+    return w
 
 
 @dataclass
@@ -145,7 +134,7 @@ class SimilarityData:
     measure: AtomicMeasure
     polys: PolynomialFamily
     dim: int
-    rank_one_scale: complex  # a_{d-1} of the extended matrix
+    rank_one_scale: complex  # a_{d-1} of the extension, 1 by construction
     # values p_n(z_j), n = 0..d, at the atoms (recurrence path)
     poly_at_atoms: np.ndarray = field(repr=False)
 

@@ -21,7 +21,7 @@ from trisim.core import (
     TridiagonalSymmetric,
     random_class_matrix,
 )
-from trisim.io import complex_array, cvector_to_json
+from trisim.io import cvector_to_json
 from trisim.cli import (
     _tol,
     cmd_canonicalize,
@@ -423,7 +423,9 @@ class TestSimilarityCommand:
         result = json.loads(out.read_text())
         assert result["passed"] is True
         assert result["max_residual"] < 1e-10
-        assert result["rank_one_scale"] == [1.0, 0.0]
+        # the rank-one scale is written once, as a_{d-1} = a_1 of the recurrence
+        assert "rank_one_scale" not in result
+        assert result["recurrence"]["offdiag"][1] == [1.0, 0.0]
         assert result["node_matrix_sigma_min"] > 0
 
     def test_generated_d5(self, tmp_path):
@@ -646,21 +648,9 @@ class TestRoundTrip:
         assert ext.dim == d + 1
         assert np.array_equal(ext.diag[:d], tri.diag)
         assert np.array_equal(ext.offdiag[: d - 1], tri.offdiag)
-        assert complex_array(result["rank_one_scale"], 0, "scale") == ext.offdiag[d - 1]
+        assert ext.offdiag[d - 1] == 1
         assert np.array_equal(eval_recurrence(ext, d, mu.atoms), data.poly_at_atoms)
         assert np.array_equal(np.array(result["residuals"]), report.residuals)
-
-    def test_similarity_never_builds_the_coefficient_table(self, tmp_path, monkeypatch):
-        built = []
-
-        def spy(*args, **kwargs):
-            built.append(build_transform(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(cli, "build_transform", spy)
-        op = write(tmp_path, "op.json", io.operator_to_json(random_class_matrix(12, 12)))
-        assert main(["similarity", "--input", op, "--output", str(tmp_path / "out.json")]) == 0
-        assert len(built) == 1 and "coeffs" not in vars(built[0].polys)
 
     def test_missing_input_flag(self):
         assert main(["classify"]) == 2

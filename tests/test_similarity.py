@@ -35,46 +35,35 @@ def chain_data():
 class TestBuildPolynomials:
     def test_chain_first_three(self):
         fam = build_polynomials(CHAIN2, 2)
-        assert np.array_equal(fam.coeffs[0, :1], [1])
-        assert np.array_equal(fam.coeffs[1, :2], [0, 1])  # p_1 = z
-        assert np.array_equal(fam.coeffs[2, :3], [-1, 0, 1])  # p_2 = z^2 - 1
-
-    def test_p0_is_one(self):
-        fam = build_polynomials(random_class_matrix(1, 4), 4)
-        assert fam.coeffs[0, 0] == 1
-        assert np.all(fam.coeffs[0, 1:] == 0)
+        z = np.array([0, 1, -2, 0.5 + 1.5j, -3j])
+        vals = eval_recurrence(fam.ext, 2, z)
+        assert np.array_equal(vals[0], np.ones(len(z)))
+        assert np.array_equal(vals[1], z)  # p_1 = z
+        assert np.array_equal(vals[2], z * z - 1)  # p_2 = z^2 - 1
 
     def test_p1_closed_form(self):
         m = TridiagonalSymmetric([2 + 1j, 0], [3j])
         fam = build_polynomials(m, 1)
+        z = np.array([0, 1, -2, 0.5 + 1.5j, 2 + 1j])
         # p_1 = (z - b_0)/a_0
-        assert fam.coeffs[1, 1] == pytest.approx(1 / 3j)
-        assert fam.coeffs[1, 0] == pytest.approx(-(2 + 1j) / 3j)
+        assert np.allclose(eval_recurrence(fam.ext, 1, z)[1], (z - (2 + 1j)) / 3j, rtol=1e-14)
 
     def test_leading_coefficient_law(self):
+        # p_n has degree at most d, so the (d+1)-point DFT of its values on
+        # the unit circle gives its monomial coefficients without aliasing
         for seed in range(10):
             d = 2 + seed % 4
             m = random_class_matrix(600 + seed, d)
             fam = build_polynomials(m, d)
             ext = extend_matrix(m, d + 1)
+            vals = eval_recurrence(fam.ext, d, np.exp(2j * np.pi * np.arange(d + 1) / (d + 1)))
+            coeffs = np.fft.fft(vals, axis=1) / (d + 1)
             lead = 1.0 + 0j
             for n in range(1, d + 1):
                 lead /= ext.offdiag[n - 1]
-                assert fam.coeffs[n, n] == pytest.approx(lead, rel=1e-12)
+                assert coeffs[n, n] == pytest.approx(lead, rel=1e-12)
                 # degree exactly n
-                assert np.all(fam.coeffs[n, n + 1 :] == 0)
-                assert fam.coeffs[n, n] != 0
-
-    def test_recurrence_vs_coefficient_evaluation(self):
-        # the two storage/evaluation paths must agree
-        m = random_class_matrix(77, 5)
-        fam = build_polynomials(m, 5)
-        ext = extend_matrix(m, 6)
-        z = np.array([0.3 + 1j, -2.0, 1.5j, 4 - 4j])
-        rec = eval_recurrence(ext, 5, z)
-        for n in range(6):
-            from_coeffs = np.polyval(fam.coeffs[n, : n + 1][::-1], z)
-            assert np.allclose(rec[n], from_coeffs, rtol=1e-9, atol=1e-9)
+                assert np.all(np.abs(coeffs[n, n + 1 :]) <= 1e-12 * np.max(np.abs(vals[n])))
 
     @pytest.mark.parametrize("d", [2, 3, 8, 48])
     def test_recurrence_is_the_per_degree_expression_bit_for_bit(self, d):
@@ -133,6 +122,25 @@ class TestPolyOfOperatorVector:
         fam = build_polynomials(CHAIN2, 2)
         with pytest.raises(InputError):
             poly_of_operator_vector(CHAIN2, fam, 2)
+
+    def test_rejects_degree_past_the_family(self):
+        m = random_class_matrix(1, 6)
+        with pytest.raises(InputError, match=r"k must lie in 0\.\.2"):
+            poly_of_operator_vector(m, build_polynomials(m, 2), 4)
+
+    @pytest.mark.parametrize("band", ["diag", "offdiag"])
+    def test_detects_a_family_of_another_matrix(self, band):
+        # a family whose row r differs by delta from m's is exact up to
+        # degree r, which does not use the entry yet, and off by about delta
+        # from degree r + 1 on, first by delta / |a_r|
+        m, r, delta = random_class_matrix(1, 6), 2, 1e-6
+        bands = {"diag": m.diag.copy(), "offdiag": m.offdiag.copy()}
+        bands[band][r] += delta
+        fam = build_polynomials(TridiagonalSymmetric(bands["diag"], bands["offdiag"]), 6)
+        err = np.array([np.linalg.norm(poly_of_operator_vector(m, fam, k) - np.eye(6)[k]) for k in range(6)])
+        assert np.all(err[: r + 1] < 1e-15)
+        assert err[r + 1] == pytest.approx(delta / abs(m.offdiag[r]), rel=1e-6)
+        assert np.all((err[r + 1 :] > delta / 10) & (err[r + 1 :] < 10 * delta))
 
 
 class TestBuildTransform:
@@ -263,16 +271,9 @@ class TestVerifySimilarity:
         m = random_class_matrix(35, 5)
         data = build_transform(m)
         assert calls == [5 + 2, 5 + 1]
-        assert np.array_equal(data.polys.coeffs, build_polynomials(m, 5).coeffs)
-
-    def test_coefficient_table_is_built_on_first_read(self):
-        # the library path evaluates the recurrence and never reads the table
-        m = random_class_matrix(36, 7)
-        data = build_transform(m)
-        assert verify_similarity(m, data).passed
-        assert "coeffs" not in vars(data.polys)
-        assert np.array_equal(data.polys.coeffs, build_polynomials(m, 7).coeffs)
-        assert "coeffs" in vars(data.polys)
+        ext = extend_matrix(m, 6)
+        assert np.array_equal(data.polys.ext.diag, ext.diag)
+        assert np.array_equal(data.polys.ext.offdiag, ext.offdiag)
 
 
 class TestSimilarityReport:
