@@ -49,7 +49,7 @@ def _vanishing_subdiagonal(sub: np.ndarray, thresh: float) -> str | None:
     small = np.abs(sub) <= thresh
     if not small.any():
         return None
-    k = int(np.argmax(small))
+    k = int(small.argmax())
     return f"sub-diagonal entry a_{k} vanishes (|a_{k}| = {abs(sub[k]):.3e})"
 
 
@@ -67,7 +67,7 @@ def is_class_matrix(
     test runs, in O(d), and ``extracted`` is ``m`` itself.
     """
     if isinstance(m, TridiagonalSymmetric):
-        scale = max(1.0, float(np.max(np.abs(m.diag))), float(np.max(np.abs(m.offdiag))))
+        scale = max(1.0, float(np.abs(m.diag).max()), float(np.abs(m.offdiag).max()))
         reason = _vanishing_subdiagonal(m.offdiag, eps * scale)
         if reason is not None:
             return False, None, reason
@@ -77,24 +77,24 @@ def is_class_matrix(
     d = a.shape[0]
     if d < 2:
         raise InputError("dimension must be at least 2")
-    scale = max(1.0, float(np.max(np.abs(a))))
+    scale = max(1.0, float(np.abs(a).max()))
     unit = a / scale  # no difference of entries near the float64 limit overflows
 
-    off_band = float(np.max(np.abs(np.triu(unit, 2) + np.tril(unit, -2))))
+    off_band = float(np.abs(np.triu(unit, 2) + np.tril(unit, -2)).max())
     if off_band > eps:
         return False, None, f"not tridiagonal: off-band entry of magnitude {off_band * scale:.3e}"
 
-    asym = float(np.max(np.abs(unit - unit.T)))
+    asym = float(np.abs(unit - unit.T).max())
     if asym > eps:
         return False, None, f"not complex symmetric: max |m[k,l] - m[l,k]| = {asym * scale:.3e}"
 
-    sub = np.diagonal(a, 1)
+    sub = a.diagonal(1)
     reason = _vanishing_subdiagonal(sub, eps * scale)
     if reason is not None:
         return False, None, reason
 
-    sym_off = 0.5 * sub + 0.5 * np.diagonal(a, -1)
-    return True, TridiagonalSymmetric(np.diagonal(a).copy(), sym_off), "ok"
+    sym_off = 0.5 * sub + 0.5 * a.diagonal(-1)
+    return True, TridiagonalSymmetric(a.diagonal().copy(), sym_off), "ok"
 
 
 def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
@@ -109,9 +109,9 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
     if a.shape[0] != j.dim:
         raise InputError("operator and conjugation dimensions differ")
     j.check(tol)
-    u = a / max(1.0, float(np.max(np.abs(a))))
+    u = a / max(1.0, float(np.abs(a).max()))
     juj = j.matrix @ np.conj(u) @ np.conj(j.matrix)
-    return float(np.max(np.abs(juj - u.conj().T)))
+    return float(np.abs(juj - u.conj().T).max())
 
 
 def _krylov(a: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
@@ -163,7 +163,7 @@ def _krylov_qr(
     if len(x0) != d or j.dim != d:
         raise InputError("dimension mismatch between A, x0 and J")
     # a power of two scales exactly, so no digit of x0 is lost; a zero x0 stays zero
-    e = 1 - np.frexp(np.max(np.abs(x0)))[1]
+    e = 1 - np.frexp(np.abs(x0).max())[1]
     x0 = np.ldexp(x0.real, e) + 1j * np.ldexp(x0.imag, e)
     jx_res = float(np.linalg.norm(j.apply(x0) - x0))
     if not rel_zero(jx_res, float(np.linalg.norm(x0)), tol):
@@ -176,14 +176,14 @@ def _krylov_qr(
 
     # columns have largest entry 1, so no norm overflows; x0 is cyclic, so no r_ii is 0
     q, r = np.linalg.qr(k / np.linalg.norm(k, axis=0))
-    r_diag = np.diagonal(r)
+    r_diag = r.diagonal()
     q *= r_diag / np.abs(r_diag)
     q.flags.writeable = False
     y_norms = np.linalg.norm(y, axis=0)
     y /= np.where(y_norms > 0, y_norms, 1.0)
     # column n - 1 sums |(Q^H y_n)_l|^2 over l > n
     dist = np.tril(np.abs(q.conj().T @ y) ** 2, -2).sum(axis=0)
-    gammas = np.cumprod(np.abs(r_diag) ** 2)[1:] * dist
+    gammas = (np.abs(r_diag) ** 2).cumprod()[1:] * dist
     return q, tuple(enumerate(map(complex, gammas.tolist()), 1))
 
 
@@ -248,11 +248,11 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
         )
 
     jg = j.apply(g)
-    beta = np.sum(jg * np.conj(g), axis=0)
+    beta = (jg * np.conj(g)).sum(axis=0)
     dev = np.linalg.norm(jg - beta * g, axis=0)
     bad = dev > tol
     if bad.any():
-        r = int(np.argmax(bad))
+        r = int(bad.argmax())
         raise ConsistencyError(
             f"J g_{r} is not proportional to g_{r} (deviation {dev[r]:.3e}); "
             "the Gram condition is numerically broken"

@@ -30,7 +30,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     a = m.dense() if isinstance(m, TridiagonalSymmetric) else np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be a square 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
 
@@ -39,7 +39,7 @@ def as_complex_vector(v, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=np.complex128)
     if a.ndim != 1:
         raise InputError(f"{name} must be a 1-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
 
@@ -49,7 +49,7 @@ def require_finite(values, where) -> None:
     or nan entry k of ``values``, where(k) naming the quantity and order k."""
     finite = np.isfinite(values)
     if not finite.all():
-        raise PreconditionError("float64 range exhausted at " + where(int(np.argmin(finite))))
+        raise PreconditionError("float64 range exhausted at " + where(int(finite.argmin())))
 
 
 def rel_zero(x: float, scale: float, tol: float = DEFAULT_TOL) -> bool:
@@ -121,9 +121,9 @@ class ConjugationMap:
         # entries near the float64 limit overflow a residual to inf or nan,
         # which is rejected like any other large residual
         with np.errstate(over="ignore", invalid="ignore"):
-            uni = float(np.max(np.abs(c.conj().T @ c - np.eye(self.dim))))
-            sym = float(np.max(np.abs(c - c.T)))
-            scale = float(np.max(np.abs(c)))
+            uni = float(np.abs(c.conj().T @ c - np.eye(self.dim)).max())
+            sym = float(np.abs(c - c.T).max())
+            scale = float(np.abs(c).max())
         for law, res in (("unitary", uni), ("symmetric", sym)):
             if not (np.isfinite(res) and rel_zero(res, scale, tol)):
                 raise InputError(f"conjugation matrix is not {law} (residual {res:.3e})")
@@ -148,11 +148,12 @@ class AtomicMeasure:
             raise InputError("atoms and masses must have equal length")
         if len(self.atoms) == 0:
             raise InputError("measure must have at least one atom")
-        if not np.all((self.masses > 0) & (self.masses < np.inf)):  # NaN fails too
+        if not ((self.masses > 0) & (self.masses < np.inf)).all():  # NaN fails too
             raise InputError("all masses must be finite and strictly positive")
         # equal atoms are adjacent once sorted; cheaper than np.unique
-        ordered = np.sort(self.atoms)
-        if np.any(ordered[1:] == ordered[:-1]):
+        ordered = self.atoms.copy()
+        ordered.sort()
+        if (ordered[1:] == ordered[:-1]).any():
             raise InputError("atom locations must be pairwise distinct")
 
     @property
@@ -165,7 +166,7 @@ class AtomicMeasure:
 
     def moment(self, k: int) -> complex:
         """Exact atom sum for the k-th power moment."""
-        return complex(np.sum(self.masses * self.atoms**k))
+        return complex((self.masses * self.atoms**k).sum())
 
 
 @dataclass

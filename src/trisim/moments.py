@@ -39,8 +39,10 @@ from .classify import is_class_matrix
 # mass at 2 * MASS_DELTA * s0 / N.
 MASS_DELTA = 1e-3
 RADIUS_RATIO = 1.5  # default minimum of circle radius / |first atom|
-RADIUS_RTOL = 1e-3  # the circle radius is minimal to this relative accuracy
-_SECTION_POINTS = np.arange(1, 16) / 16  # where each step samples the radius bracket
+# The circle radius is minimal to this relative accuracy: its Newton
+# search rises to the root from below and stops at the first point that
+# passes, at most RADIUS_RTOL/4 past the root in log r.
+RADIUS_RTOL = 1e-3
 # cuts each of the three integers the moment-table error echoes to 30 characters
 _ECHO = reprlib.Repr()
 _ECHO.maxlong = 30
@@ -114,14 +116,19 @@ def spectral_moments(
     ext = extend_matrix(m, max(h + 1, m.dim))
     diag, offdiag = ext.diag[: h + 1], ext.offdiag[:h]
     v[0, 0] = 1.0
+    tmp = np.empty(h, dtype=np.complex128)
+    # nxt = T cur: the diagonal, then the two off-diagonal bands, each
+    # product formed in tmp; the zip hands out every row view, so no step
+    # slices or allocates
+    steps = zip(v[:-1], v[1:], v[:-1, 1:], v[:-1, :-1], v[1:, :-1], v[1:, 1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for cur, nxt in zip(v[:-1], v[1:]):  # nxt = T cur
+        for cur, nxt, cur_tail, cur_head, nxt_head, nxt_tail in steps:
             np.multiply(diag, cur, out=nxt)
-            nxt[:-1] += offdiag * cur[1:]
-            nxt[1:] += offdiag * cur[:-1]
+            nxt_head += np.multiply(offdiag, cur_tail, out=tmp)
+            nxt_tail += np.multiply(offdiag, cur_head, out=tmp)
         s = np.empty(2 * h + 1, dtype=np.complex128)
-        s[0::2] = np.sum(v * v, axis=1)
-        s[1::2] = np.sum(v[:-1] * v[1:], axis=1)
+        s[0::2] = (v * v).sum(axis=1)
+        s[1::2] = (v[:-1] * v[1:]).sum(axis=1)
     s = s[: rho + 1]
     require_finite(s, lambda k: f"moment order {k}: s_{k} overflows")
     return MomentSequence(rho=rho, values=s)
@@ -169,7 +176,7 @@ def admissible_radius(s0: float, c: complex, n: int, delta: float = MASS_DELTA) 
 
 def _normalized_targets(s0: float, c: np.ndarray, r: float) -> np.ndarray:
     """ct_n = (c_n / s0) / r^n for n = 0..len(c)-1, exactly 0 where c_n is."""
-    n = np.flatnonzero(c)
+    n = c.nonzero()[0]
     ct = np.zeros(len(c), dtype=np.complex128)
     ct[n] = (c[n] / s0) / r**n
     return ct
@@ -189,7 +196,7 @@ def _circle(s0: float, r: float, ct: np.ndarray) -> tuple[np.ndarray, np.ndarray
     atoms = r * np.exp(2j * np.pi * np.arange(big_n) / big_n)
     # Re sum_n ct_n w^(-jn) = Re sum_n conj(ct_n) w^(jn)
     masses = (s0 / big_n) * (1.0 + 2.0 * np.fft.fft(ct, big_n).real)
-    if not np.all(masses > 0):
+    if not (masses > 0).all():
         raise ConsistencyError("non-positive circle mass despite the |c~| margin")
     return atoms, masses
 
@@ -266,28 +273,32 @@ def _format_power_of_ten(x: float) -> str:
 def _circle_radius(s0: float, c: np.ndarray, floor: float, delta: float) -> float:
     """Smallest r >= floor with sum_n |c_n| / (s0 r^n) <= 1/2 - delta.
 
-    In t = log r this is sum_n exp(la_n - n t) <= 1, decreasing in t.  One
-    term alone exceeds 1 below max(la_n / n), and each of the m terms is
-    at most 1/m above max((la_n + log m) / n): a closed-form bracket, cut
-    16-fold per step by evaluating 15 interior points at once.  With no
-    nonzero c_n only the floor bounds r, and r = max(floor, 1).
+    In t = log r this is G(t) = log sum_n exp(la_n - n t) <= 0.  G is
+    convex and falls with slope at most -min(n), and one term alone
+    reaches 1 at max(la_n / n), where the search starts (or at log floor,
+    if larger).  From a point left of the root each Newton step lands
+    between that point and the root, so the iterates rise and never pass
+    it; a step shorter than RADIUS_RTOL/4 is lengthened to RADIUS_RTOL/4,
+    which may pass it by at most that much.  The search returns the first
+    iterate whose sum it evaluated at <= 1.  With no nonzero c_n only the
+    floor bounds r, and r = max(floor, 1).
     """
-    n = np.flatnonzero(c)
+    n = c.nonzero()[0]
     if len(n) == 0:
         return max(floor, 1.0)
     la = np.log(np.abs(c[n])) - (math.log(s0) + math.log(0.5 - delta))
-    lo = float(np.max(la / n))
+    t = float((la / n).max())
     if floor > 0:
-        lo = max(lo, math.log(floor))
-    hi = max(float(np.max((la + math.log(len(n))) / n)), lo)
-    while hi - lo > RADIUS_RTOL:
-        t = lo + (hi - lo) * _SECTION_POINTS
-        passing = np.flatnonzero(np.exp(la - t[:, None] * n).sum(axis=1) <= 1.0)
-        k = passing[0] if len(passing) else len(t)  # the sum decreases in t
-        hi = float(t[k]) if k < len(t) else hi
-        lo = float(t[k - 1]) if k > 0 else lo
+        t = max(t, math.log(floor))
+    terms = np.exp(la - n * t)
+    total = float(terms.sum())
+    while total > 1.0:  # a NaN sum stops too
+        # Newton on G: G / -G'(t) = log(total) * total / sum_n n terms_n
+        t += max(math.log(total) * total / float(n @ terms), RADIUS_RTOL / 4)
+        terms = np.exp(la - n * t)
+        total = float(terms.sum())
     # tiny pad so the margin cannot fail to rounding at the boundary
-    return max(math.exp(hi) * (1.0 + 1e-9), floor)
+    return max(math.exp(t) * (1.0 + 1e-9), floor)
 
 
 def algorithm1(
@@ -346,7 +357,7 @@ def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
     about 1, so the difference cannot overflow.  Raises
     ``PreconditionError`` when max|z|^k * total mass overflows float64.
     """
-    zmax = np.max(np.abs(mu.atoms))  # np.float64, so zmax**k overflows to inf
+    zmax = np.abs(mu.atoms).max()  # np.float64, so zmax**k overflows to inf
     mass = mu.total_mass
     with np.errstate(over="ignore"):
         bounds = [zmax**k * mass for k in range(seq.rho + 1)]

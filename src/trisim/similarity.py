@@ -66,7 +66,7 @@ def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
     if n_max < 0:
         raise InputError("n_max must be non-negative")
     ext = m if m.dim > n_max else extend_matrix(m, n_max + 1)
-    small = np.flatnonzero(np.abs(ext.offdiag[:n_max]) < 1e-14)
+    small = (np.abs(ext.offdiag[:n_max]) < 1e-14).nonzero()[0]
     if len(small):
         raise InputError(f"cannot divide by a_{small[0]} = 0 in the recurrence")
     return PolynomialFamily(ext, n_max)
@@ -139,7 +139,7 @@ class SimilarityData:
     poly_at_atoms: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        want, got = (self.dim + 1, self.measure.n_atoms), np.shape(self.poly_at_atoms)
+        want, got = (self.dim + 1, self.measure.n_atoms), np.asarray(self.poly_at_atoms).shape
         if got != want:
             raise InputError(f"poly_at_atoms must be (dim + 1)-by-n_atoms, {want}, got {got}")
 
@@ -164,8 +164,8 @@ def orthonormality_residuals(
         av = np.abs(v)
         gram, scales = v @ v.T, av @ av.T
     # by Cauchy-Schwarz, entry (i, j) overflows only if (i, i) or (j, j) does
-    require_finite(np.diagonal(scales), lambda n: f"polynomial degree {n}: a Gram scale "
-                   f"overflows at max|p_{n}| = {np.max(np.abs(p[n])):.3g}")
+    require_finite(scales.diagonal(), lambda n: f"polynomial degree {n}: a Gram scale "
+                   f"overflows at max|p_{n}| = {np.abs(p[n]).max():.3g}")
     return np.abs(gram - np.eye(n_max + 1)) / np.maximum(1.0, scales)
 
 
@@ -239,7 +239,7 @@ class SimilarityReport:
 
     @property
     def max_residual(self) -> float:
-        return float(np.max(np.append(self.residuals, self.orthonormality)))  # NaN wins
+        return float(np.concatenate((self.residuals, [self.orthonormality])).max())  # NaN wins
 
     @property
     def failures(self) -> list[str]:
@@ -289,8 +289,8 @@ def verify_similarity(
         diff[d - 1] -= data.rank_one_scale * p[d]
         denom = np.sqrt((diff.real**2 + diff.imag**2) @ w)
     require_finite(denom, lambda n: f"polynomial degree {n}: the residual scale overflows "
-                   f"at max|p_{n}| = {np.max(np.abs(p[n])):.3g}")
-    orth = float(np.max(orthonormality_residuals(p, data.measure, d)))
+                   f"at max|p_{n}| = {np.abs(p[n]).max():.3g}")
+    orth = float(orthonormality_residuals(p, data.measure, d).max())
     sigma_min = check_invertible(data)
     # the left side is subtracted term by term, so that at most two complex
     # d-by-n_atoms arrays are alive at once, diff and one product; each

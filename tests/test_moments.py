@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,25 @@ def dense_power_oracle(m, rho, trunc):
         row = row @ j
         out.append(complex(row[0]))
     return np.array(out)
+
+
+def three_line_moments(m, rho):
+    """``spectral_moments`` with its Krylov step written as three lines
+    that slice and allocate each step: the reference the loop over
+    preallocated row views must match bit for bit."""
+    h = (rho + 1) // 2
+    v = np.zeros((h + 1, h + 1), dtype=np.complex128)
+    ext = extend_matrix(m, max(h + 1, m.dim))
+    diag, offdiag = ext.diag[: h + 1], ext.offdiag[:h]
+    v[0, 0] = 1.0
+    for cur, nxt in zip(v[:-1], v[1:]):
+        np.multiply(diag, cur, out=nxt)
+        nxt[:-1] += offdiag * cur[1:]
+        nxt[1:] += offdiag * cur[:-1]
+    s = np.empty(2 * h + 1, dtype=np.complex128)
+    s[0::2] = np.sum(v * v, axis=1)
+    s[1::2] = np.sum(v[:-1] * v[1:], axis=1)
+    return s[: rho + 1]
 
 
 class TestExtendMatrix:
@@ -93,6 +114,13 @@ class TestSpectralMoments:
             a = spectral_moments(m, rho, trunc=rho + 2).values
             for trunc in (rho + 10, rho + 50):
                 assert np.array_equal(a, spectral_moments(m, rho, trunc=trunc).values)
+
+    @pytest.mark.parametrize("d", [2, 8, 48, 128])
+    def test_krylov_step_matches_the_three_line_reference_bitwise(self, d):
+        for seed in range(5):
+            m = random_class_matrix(seed, d)
+            for rho in (2 * d, 2 * d + 1):
+                assert np.array_equal(spectral_moments(m, rho).values, three_line_moments(m, rho))
 
     @pytest.mark.parametrize("scale, order", [(1e100, 4), (1e150, 3)])
     def test_names_the_first_overflowing_order(self, scale, order):
@@ -213,7 +241,7 @@ class TestCircle:
         # moments are subnormal: predicted before r^n underflows to 0
         m = random_class_matrix(1, 64)
         seq = spectral_moments(TridiagonalSymmetric(m.diag * 1e-3, m.offdiag * 1e-3), 129)
-        msg = r"precision exhausted at scale 1e-322 \(circle radius 0.00318, order 129\)"
+        msg = r"precision exhausted at scale 1e-322 \(circle radius 0.00317, order 129\)"
         with pytest.raises(PreconditionError, match=msg):
             algorithm1(seq)
 
@@ -225,6 +253,65 @@ class TestCircle:
             assert len(w) == 2 * seq.rho + 1
             assert abs(w.sum() - seq.s0 / 2) <= 1e-14
             assert np.all(w >= 2 * moments.MASS_DELTA * (seq.s0 / 2) / len(w) * (1 - 1e-9))
+
+
+def radius_draw(rng):
+    """A random input of ``_circle_radius``: 1 to 400 nonzero c_n (a fifth of
+    the draws have one), log-magnitudes spread up to +-600 or up to +-3,
+    floors 0 (a quarter of the draws) or up to 10, delta 1e-3 to 0.49."""
+    m = 1 if rng.random() < 0.2 else int(rng.integers(1, 401))
+    top = m + 1 if rng.random() < 0.5 else int(rng.integers(m + 1, 2 * m + 401))
+    n = np.sort(rng.choice(np.arange(2, top + 1), size=m, replace=False))
+    spread = rng.uniform(0, 600) if rng.random() < 0.5 else rng.uniform(0, 3)
+    c = np.zeros(top + 1, dtype=np.complex128)
+    c[n] = np.exp(rng.uniform(-spread, spread, m) + 2j * np.pi * rng.random(m))
+    s0 = math.exp(rng.uniform(-5, 5))
+    floor = 0.0 if rng.random() < 0.25 else rng.uniform(0, 10)
+    delta = math.exp(rng.uniform(math.log(1e-3), math.log(0.49)))
+    return s0, c, floor, delta
+
+
+class TestCircleRadius:
+    def test_minimal_within_rtol_on_random_draws(self, monkeypatch):
+        # the margin holds at r, and r exp(-RADIUS_RTOL) breaks it unless
+        # the floor binds; each search evaluates the sum at most 8 times
+        evaluations = []
+        real_exp = np.exp
+
+        def counting_exp(x):
+            evaluations.append(None)
+            return real_exp(x)
+
+        rng = np.random.default_rng(2024)
+        binding = 0
+        for _ in range(2000):
+            s0, c, floor, delta = radius_draw(rng)
+            evaluations.clear()
+            monkeypatch.setattr(np, "exp", counting_exp)
+            r = moments._circle_radius(s0, c, floor, delta)
+            monkeypatch.setattr(np, "exp", real_exp)
+            assert len(evaluations) <= 8
+            n = c.nonzero()[0]
+            la = np.log(np.abs(c[n])) - math.log(s0)
+            budget = 0.5 - delta
+
+            def total(x):
+                with np.errstate(over="ignore"):
+                    return np.exp(la - n * math.log(x)).sum()
+
+            assert r >= floor
+            assert total(r) <= budget
+            if floor > 0 and total(floor) <= budget:
+                binding += 1
+                assert r <= floor * math.exp(moments.RADIUS_RTOL)
+            else:
+                assert total(r * math.exp(-moments.RADIUS_RTOL)) > budget
+        assert 200 <= binding <= 1800  # the draws bind the floor and leave it free
+
+    def test_no_target_leaves_the_floor_or_one(self):
+        c = np.zeros(6, dtype=np.complex128)
+        assert moments._circle_radius(1.0, c, 0.0, 1e-3) == 1.0
+        assert moments._circle_radius(1.0, c, 2.5, 1e-3) == 2.5
 
 
 class TestAlgorithm1:

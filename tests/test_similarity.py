@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -517,3 +519,35 @@ class TestOverflowingScales:
         with pytest.raises(PreconditionError, match="polynomial degree 119: a Gram scale overflows"):
             orthonormality_residuals(data.poly_at_atoms, data.measure, 120)
         assert np.isfinite(orthonormality_residuals(data.poly_at_atoms, data.measure, 118)).all()
+
+
+class TestNoFromnumericWrappers:
+    """numpy's module-level reductions (np.max, np.all, np.sum, np.sort,
+    np.diagonal, np.shape, ...) are Python wrappers in fromnumeric.py that
+    cost about 2-3 us more per call than the ndarray method they end in;
+    one small op makes dozens of such calls, so none may run on its path."""
+
+    def test_one_op_runs_no_fromnumeric_frame(self):
+        numpy_dir = os.path.dirname(np.__file__)
+        hits = set()
+
+        def hook(frame, event, arg):
+            # name the numpy function the first frame outside numpy called,
+            # and where: a dispatcher stands for the function it precedes
+            if event == "call" and os.path.basename(frame.f_code.co_filename) == "fromnumeric.py":
+                entry, caller = frame, frame.f_back
+                while caller.f_code.co_filename.startswith(numpy_dir):
+                    entry, caller = caller, caller.f_back
+                name = entry.f_code.co_name.removeprefix("_").removesuffix("_dispatcher")
+                where = os.path.basename(caller.f_code.co_filename)
+                hits.add(f"np.{name} at {where}:{caller.f_lineno}")
+
+        m = random_class_matrix(0, 8)
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            passed = verify_similarity(m, build_transform(m)).passed
+        finally:
+            sys.setprofile(previous)
+        assert passed
+        assert not hits, f"numpy fromnumeric wrappers ran: {sorted(hits)}"
