@@ -8,8 +8,11 @@ conjugation fixing the cyclic vector), and the sufficiency proof is
 constructive -- Gram-Schmidt plus a phase fix.  One QR of the Krylov
 matrix, diag(R) real and positive, serves both: the Gram determinants are
 read off Q and R, and ``canonicalize`` rotates Q into the canonical basis.
-The latest factorization is kept, keyed on the full input content, so the
-criterion and then the construction on one input factor once.
+The determinants are of unit vectors, so they are real and lie in [0, 1];
+they are held as one read-only float64 array, which every report on the
+input wraps.  The latest factorization is kept, keyed on the full input
+content, so the criterion and then the construction on one input factor
+once.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ CYCLIC_RANK_TOL = 1e-8
 
 @dataclass
 class CanonicalForm:
-    """Orthonormal basis U, the tridiagonal matrix in that basis, and phases."""
+    """Orthonormal basis U, the tridiagonal matrix in that basis, phases,
+    and the Gram report the input passed."""
 
     basis: np.ndarray
     matrix: TridiagonalSymmetric
     phases: np.ndarray
+    gram: GramReport
 
 
 def _vanishing_subdiagonal(sub: np.ndarray, thresh: float) -> str | None:
@@ -114,27 +119,23 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
     return float(np.abs(juj - u.conj().T).max())
 
 
-def _krylov(a: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
-    """Columns x0, A x0, ..., A^{n-1} x0; an overflow leaves inf or nan."""
-    k = np.empty((n, len(x0)), dtype=np.complex128)  # row i holds A^i x0
+def _krylov(a: np.ndarray, x0: np.ndarray, power: str = "A") -> np.ndarray:
+    """Columns x0, A x0, ..., A^{d-1} x0 scaled to largest entry 1, as ||A^j x0||
+    grows like ||A||^j (a zero column stays zero); raises if one overflowed."""
+    k = np.empty((len(x0), len(x0)), dtype=np.complex128)  # row i holds A^i x0
     k[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n):
+        for i in range(1, len(k)):
             np.matmul(a, k[i - 1], out=k[i])
-    return k.T.copy()
-
-
-def _scaled_columns(k: np.ndarray, power: str = "A") -> np.ndarray:
-    """Krylov columns k scaled to largest entry 1, as ||A^j x0|| grows like
-    ||A||^j; a zero column stays zero.  Raises if some column overflowed."""
+    k = k.T.copy()  # contiguous: a transposed view rounds the later column norms differently
     scales = np.abs(k).max(axis=0)
     require_finite(scales, lambda j: f"Krylov order {j}: {power}^{j} x0 overflows")
     return k / np.where(scales > 0, scales, 1.0)
 
 
-def _require_cyclic(k: np.ndarray) -> float:
-    """sigma_min / sigma_max of the column-scaled Krylov matrix k; raises if
-    x0 is not cyclic."""
+def _require_cyclic(k: np.ndarray) -> None:
+    """Raises unless sigma_min / sigma_max of the column-scaled Krylov
+    matrix k shows x0 cyclic."""
     ratio = 0.0
     if k.any(axis=0).all():
         sv = np.linalg.svd(k, compute_uv=False)
@@ -144,15 +145,14 @@ def _require_cyclic(k: np.ndarray) -> float:
             f"x0 is not a cyclic vector: Krylov matrix rank deficient "
             f"(sigma_min/sigma_max = {ratio:.3e})"
         )
-    return ratio
 
 
 def _krylov_qr(
     a: np.ndarray, x0: np.ndarray, j: ConjugationMap, tol: float
-) -> tuple[np.ndarray, tuple[tuple[int, complex], ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Q of the unit Krylov matrix K = QR, diag(R) real and positive, and
-    the pairs (n, Gamma_n) read off it, for x0 scaled to largest entry in
-    [1, 2).  Q is read-only.
+    Gamma_1..Gamma_{d-1} read off it, for x0 scaled to largest entry in
+    [1, 2).  Both arrays are read-only.
 
     With y_n the unit (A^*)^n x0, Gamma_n = prod_{i<=n} r_ii^2 *
     sum_{i>n} |(Q^H y_n)_i|^2: the Gram determinant of k_0..k_n times the
@@ -170,9 +170,9 @@ def _krylov_qr(
         raise PreconditionError(
             f"J x0 != x0 (residual {jx_res:.3e}); the criterion needs a fixed vector"
         )
-    k = _scaled_columns(_krylov(a, x0, d))
+    k = _krylov(a, x0)
     _require_cyclic(k)
-    y = _scaled_columns(_krylov(a.conj().T, x0, d), "(A^*)")[:, 1:]
+    y = _krylov(a.conj().T, x0, "(A^*)")[:, 1:]
 
     # columns have largest entry 1, so no norm overflows; x0 is cyclic, so no r_ii is 0
     q, r = np.linalg.qr(k / np.linalg.norm(k, axis=0))
@@ -184,7 +184,8 @@ def _krylov_qr(
     # column n - 1 sums |(Q^H y_n)_l|^2 over l > n
     dist = np.tril(np.abs(q.conj().T @ y) ** 2, -2).sum(axis=0)
     gammas = (np.abs(r_diag) ** 2).cumprod()[1:] * dist
-    return q, tuple(enumerate(map(complex, gammas.tolist()), 1))
+    gammas.flags.writeable = False
+    return q, gammas
 
 
 # The latest ``_krylov_qr``, as (key, result); the key is the full content
@@ -197,15 +198,15 @@ def _memo_krylov_qr(
     a: np.ndarray, x0: np.ndarray, j: ConjugationMap, tol: float
 ) -> tuple[np.ndarray, GramReport]:
     """``_krylov_qr`` of the latest input, computed once per input content,
-    and a fresh ``GramReport`` of it.  A failing input is not kept, so it
-    raises on every call."""
+    and a fresh ``GramReport`` over its read-only Gammas.  A failing input
+    is not kept, so it raises on every call."""
     global _last_qr
     key = (a.shape, tol, a.tobytes(), x0.tobytes(), j.matrix.tobytes())
     last = _last_qr  # one read: a concurrent call cannot swap the entry under the key test
     if last[0] != key:
         last = _last_qr = (key, _krylov_qr(a, x0, j, tol))
-    q, values = last[1]
-    return q, GramReport(values=list(values), tol=tol)
+    q, gammas = last[1]
+    return q, GramReport(gammas, tol)
 
 
 def gram_condition_check(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> GramReport:
@@ -266,4 +267,4 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     ok, tri, reason = is_class_matrix(m_dense, tol)
     if not ok:
         raise ConsistencyError(f"canonical matrix fell outside the class: {reason}")
-    return CanonicalForm(basis=u, matrix=tri, phases=phases)
+    return CanonicalForm(basis=u, matrix=tri, phases=phases, gram=report)

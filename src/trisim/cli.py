@@ -101,7 +101,7 @@ def cmd_classify(args) -> int:
             gr = gram_condition_check(a, x0, conj, args.tol)
             report["gram_condition"] = gr.passed
             report["gram_determinants"] = [
-                {"n": n, "gamma": io.complex_to_json(g)} for n, g in gr.values
+                {"n": n, "gamma": io.complex_to_json(g)} for n, g in enumerate(gr.gammas, 1)
             ]
         # with (J, x0) supplied the verdict is the two-sided criterion,
         # not the basis-dependent tridiagonal test

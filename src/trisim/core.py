@@ -171,10 +171,11 @@ class AtomicMeasure:
 
 @dataclass
 class GramReport:
-    """Gram determinants Gamma_n, n = 1..d-1, of unit vectors: each lies in
+    """Gram determinants of unit vectors, ``gammas[n - 1]`` = Gamma_n for
+    n = 1..d-1, as one read-only float64 array: each is real and lies in
     [0, 1] whatever the scale of x0, so the zero test is absolute."""
 
-    values: list[tuple[int, complex]]
+    gammas: np.ndarray
     tol: float = DEFAULT_TOL
 
     @property
@@ -182,7 +183,7 @@ class GramReport:
         return self.max_relative() <= self.tol
 
     def max_relative(self) -> float:
-        return max((abs(g) for _, g in self.values), default=0.0)
+        return float(self.gammas.max(initial=0.0))
 
 
 def random_class_matrix(seed: int, d: int) -> TridiagonalSymmetric:

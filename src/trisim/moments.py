@@ -337,8 +337,10 @@ def algorithm1(
             _check_scale(half, log_floor, rho)
     first_atom = seq.values[1] / half
     floor = schedule.gamma * abs(first_atom)
-    c = seq.values - half * first_atom ** np.arange(rho + 1)
+    with np.errstate(over="ignore"):
+        c = seq.values - half * first_atom ** np.arange(rho + 1)
     c[:2] = 0.0  # the circle carries its mass at order 0 and nothing at order 1
+    require_finite(c, lambda n: f"moment order {n}: c_{n} = s_{n} - (s_0/2) a^{n} overflows")
     r = _circle_radius(half, c, floor, schedule.delta)
     _check_scale(half, math.log10(r), rho)
     atoms, masses = _circle(half, r, _normalized_targets(half, c, r))

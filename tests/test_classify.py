@@ -125,8 +125,7 @@ class TestGramCondition:
     def test_chain_passes(self):
         report = gram_condition_check(CHAIN2, e0(2), ConjugationMap.standard(2))
         assert report.passed
-        (n, g), = report.values
-        assert n == 1
+        (g,) = report.gammas  # Gamma_1 only
         assert abs(g) < 1e-12
 
     def test_class_member_passes_in_own_basis(self):
@@ -147,7 +146,7 @@ class TestGramCondition:
         expected = relative_gram_det([x0, a @ x0, a.conj().T @ x0])
         assert abs(expected) > 1e-4
         assert not report.passed
-        assert report.values[0][1] == pytest.approx(expected)
+        assert report.gammas[0] == pytest.approx(expected)
 
     @pytest.mark.parametrize("d", [3, 6, 12, 16])
     def test_every_gamma_matches_oracle(self, d):
@@ -157,22 +156,47 @@ class TestGramCondition:
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x0 = rng.normal(size=d) + 0j
         report = gram_condition_check(a, x0, ConjugationMap.standard(d))
-        assert [n for n, _ in report.values] == list(range(1, d))
+        assert len(report.gammas) == d - 1  # Gamma_1..Gamma_{d-1}
         xs = [x0]
         xstar = x0
-        for n, g in report.values:
+        for g in report.gammas:
             xs.append(a @ xs[-1])
             xstar = a.conj().T @ xstar
             assert abs(g - relative_gram_det(xs + [xstar])) <= 1e-12
-        assert abs(report.values[0][1]) > 1e-3
-        assert report.max_relative() == max(abs(g) for _, g in report.values)
+        assert abs(report.gammas[0]) > 1e-3
+        assert report.max_relative() == max(abs(g) for g in report.gammas)
         assert not report.passed
 
     def test_gamma_at_top_index_is_trivially_zero(self):
         # n = d-1 involves d+1 vectors, which are always dependent
         m = random_class_matrix(11, 3)
         report = gram_condition_check(m.dense(), e0(3), ConjugationMap.standard(3))
-        assert abs(report.values[-1][1]) < 1e-9
+        assert abs(report.gammas[-1]) < 1e-9
+
+    @staticmethod
+    def random_draw(seed):
+        """A random complex A at d = 2..16 with a real x0, which J = conj fixes."""
+        d = 2 + seed % 15
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return a, rng.normal(size=d) + 0j, ConjugationMap.standard(d)
+
+    def test_gammas_are_one_read_only_real_array(self):
+        # the 100 criterion-5 members and 1000 random draws, non-members
+        # from d = 3 on (at d = 2 three vectors in C^2 make Gamma_1 vanish):
+        # Gamma_n of unit vectors lies in [0, 1], and Gamma_{d-1} of d + 1
+        # vectors in C^d is read off as an exact 0
+        inputs = [criterion5_triple(seed) for seed in range(100)]
+        inputs += [self.random_draw(seed) for seed in range(1000)]
+        for k, (a, x0, j) in enumerate(inputs):
+            report = gram_condition_check(a, x0, j, 1e-8)
+            g = report.gammas
+            assert g.dtype == np.float64 and g.shape == (len(x0) - 1,)
+            assert not g.flags.writeable
+            assert g.min() >= 0.0 and g.max() <= 1.0
+            assert g[-1] == 0.0
+            assert report.max_relative() == g.max()
+            assert report.passed == (k < 100 or len(x0) == 2)
 
     def test_large_dimension_without_overflow(self):
         # at d = 32 the product of squared Krylov norms overflowed, and every
@@ -190,7 +214,7 @@ class TestGramCondition:
         a = np.diag(np.ones(2), 1).astype(complex)
         x0 = np.array([0, 0, 1], dtype=complex)
         report = gram_condition_check(a, x0, ConjugationMap.standard(3))
-        assert [g for _, g in report.values] == [0, 0]
+        assert report.gammas.tolist() == [0, 0]
 
     def test_overflowing_adjoint_power(self):
         # x0, A x0, A^2 x0 are e_0, e_1, 1e300 e_2; (A^*)^2 x0 is 1e600 e_1
@@ -321,10 +345,10 @@ class TestCanonicalize:
         rng = np.random.default_rng(1)
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for op, v, conj in ((a, x0, j), (b + b.T, e0(4), ConjugationMap.standard(4))):
-            want = [g for _, g in gram_condition_check(op, v, conj).values]
-            got = [g for _, g in gram_condition_check(op, scale * v, conj).values]
+            want = gram_condition_check(op, v, conj).gammas
+            got = gram_condition_check(op, scale * v, conj).gammas
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
-        assert want[0].real > 0.5  # the non-member's Gamma_1 is far from 0
+        assert want[0] > 0.5  # the non-member's Gamma_1 is far from 0
         want = canonicalize(a, x0, j).matrix.dense()
         got = canonicalize(a, scale * x0, j).matrix.dense()
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -426,16 +450,29 @@ class TestKrylovMemo:
         assert not gram_condition_check(a, e0(d), j).passed
         assert len(factorizations) == 2
 
-    def test_report_is_not_shared(self, factorizations):
+    def test_kept_gammas_are_read_only(self, factorizations):
+        # every report wraps the one kept array, so no caller may write it
         a, x0, j = criterion5_triple(6)
         first = gram_condition_check(a, x0, j)
-        want = list(first.values)
-        first.values[0] = (1, 5.0 + 0j)
-        first.values.clear()
+        want = first.gammas.tobytes()
+        with pytest.raises(ValueError):
+            first.gammas[0] = 5.0
         second = gram_condition_check(a, x0, j)
-        assert second.values == want and second.values is not first.values
+        assert second.gammas.tobytes() == want and second is not first
         assert second.passed
         assert len(factorizations) == 1
+
+    def test_canonical_form_carries_the_report_it_judged(self, factorizations):
+        # on the 100 criterion-5 inputs the form's report wraps the very
+        # array the criterion read, so its bits are the same, and the pair of
+        # calls factors each input once
+        for seed in range(100):
+            args = (*criterion5_triple(seed), 1e-8)
+            gram = gram_condition_check(*args)
+            form = canonicalize(*args)
+            assert form.gram.gammas is gram.gammas
+            assert form.gram.tol == 1e-8 and form.gram.passed
+        assert len(factorizations) == 100
 
     def test_kept_q_is_read_only_and_not_aliased(self):
         a, x0, j = criterion5_triple(7)
@@ -471,9 +508,9 @@ class TestKrylovMemo:
 
         for seed in range(100):
             args = (*criterion5_triple(seed), 1e-8)
-            gram_alone = repr(fresh(gram_condition_check, *args).values)
+            gram_alone = fresh(gram_condition_check, *args).gammas.tobytes()
             form_alone = bits(fresh(canonicalize, *args))
             fresh(gram_condition_check, *args)
             assert bits(canonicalize(*args)) == form_alone
             fresh(canonicalize, *args)
-            assert repr(gram_condition_check(*args).values) == gram_alone
+            assert gram_condition_check(*args).gammas.tobytes() == gram_alone

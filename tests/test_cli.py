@@ -367,6 +367,18 @@ class TestSolve:
         assert "inf" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+    def test_overflowing_circle_target_exits_3(self, tmp_path):
+        # c_2 = s_2 - (s_0/2) a^2 overflows: one line names the order, where
+        # only numpy's "overflow encountered in subtract" was written
+        inp = write(tmp_path, "m.json", {"rho": 2, "s": [[2, 0], [0, 6e153], [1.7e308, 0]]})
+        proc = run_fresh("solve", "--input", inp)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "precondition violated: float64 range exhausted at moment order 2: "
+            "c_2 = s_2 - (s_0/2) a^2 overflows\n"
+        )
+
+
 class TestMomentsCommand:
     def test_chain_moments(self, tmp_path, capsys):
         assert main(["moments", "--input", chain_file(tmp_path), "--rho", "5"]) == 0

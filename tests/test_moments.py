@@ -428,6 +428,14 @@ class TestAlgorithm1:
         with pytest.raises(PreconditionError, match=msg):
             algorithm1(seq)
 
+    def test_overflowing_circle_target_names_its_order(self):
+        # a = 6e153j passes the floor check, but c_2 = s_2 - (s_0/2) a^2 =
+        # 1.7e308 + 3.6e307 overflows; it raised a bare OverflowError
+        seq = MomentSequence(2, np.array([2, 6e153j, 1.7e308]))
+        msg = r"moment order 2: c_2 = s_2 - \(s_0/2\) a\^2 overflows"
+        with pytest.raises(PreconditionError, match=msg):
+            algorithm1(seq)
+
     def test_radius_rounding_carries_into_the_exponent(self):
         # the floor gamma |a| is 10^308.999999: its mantissa 9.99998 prints
         # to three figures as 10, so the radius reads 1e+309, not 10e+308
