@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from io import StringIO
@@ -903,9 +904,9 @@ class TestParser:
         for command in COMMANDS:
             assert cli.parse_args([command]).handler is getattr(cli, f"cmd_{command}")
 
-    @pytest.mark.parametrize("command", ["gen", "similarity"])
-    def test_one_call_builds_two_parsers(self, command, tmp_path, monkeypatch):
-        flags = ["--seed", "1"] if command == "gen" else ["--input", chain_file(tmp_path)]
+    @staticmethod
+    def built_parsers(monkeypatch):
+        """The prog of every ArgumentParser built from now on, in order."""
         progs = []
         init = argparse.ArgumentParser.__init__
 
@@ -914,8 +915,71 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return progs
+
+    @pytest.mark.parametrize("command", ["gen", "similarity"])
+    def test_a_call_builds_only_its_commands_parser(self, command, tmp_path, monkeypatch):
+        flags = ["--seed", "1"] if command == "gen" else ["--input", chain_file(tmp_path)]
+        progs = self.built_parsers(monkeypatch)
         assert main([command, *flags, "--output", str(tmp_path / "out.json")]) == 0
-        assert progs == ["trisim", f"trisim {command}"]
+        assert progs == [f"trisim {command}"]
+
+    def test_leftover_arguments_are_reported_by_the_trisim_parser(self, monkeypatch, capsys):
+        progs = self.built_parsers(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--input", "x.json", "--gamma", "2"])
+        assert exc.value.code == 2
+        assert "trisim: error: unrecognized arguments: --gamma 2" in capsys.readouterr().err
+        assert progs == ["trisim classify", "trisim"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["bogus"]])
+    def test_help_and_unknown_commands_build_the_trisim_parser(self, argv, monkeypatch, capsys):
+        progs = self.built_parsers(monkeypatch)
+        with pytest.raises(SystemExit):
+            cli.parse_args(argv)
+        assert progs == ["trisim"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["similarity", "--input", "x.json", "--tol", "1e-3", "--gamma", "2", "--rho", "9"],
+            ["gen", "--seed", "1"],
+            ["similarity", "-h"],
+            ["-h"],
+            ["bogus"],
+            ["classify", "--input", "x.json", "--gamma", "2"],
+        ],
+    )
+    def test_one_terminal_query_per_call(self, argv, monkeypatch, capsys):
+        queries = []
+        query = shutil.get_terminal_size
+
+        def counting(*args, **kwargs):
+            queries.append(args)
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counting)
+        with contextlib.suppress(SystemExit):
+            cli.parse_args(argv)
+        assert len(queries) <= 1
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["similarity", "-h"], ["bogus"], ["classify", "--input", "x.json", "--gamma", "0.1"]],
+    )
+    def test_help_and_errors_wrap_at_the_terminal_width(self, argv, columns, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        args, code, (out, err) = assert_parity(argv, capsys)
+        assert args is None and code in (0, 2) and (out if code == 0 else err)
+
+    def test_argv_defaults_to_the_command_line(self, tmp_path, monkeypatch):
+        out = tmp_path / "op.json"
+        monkeypatch.setattr(sys, "argv", ["trisim", "gen", "--seed", "1", "--d", "3", "--output", str(out)])
+        assert main() == 0
+        op = io.operator_from_json(json.loads(out.read_text()))
+        want = random_class_matrix(1, 3)
+        assert np.array_equal(op.diag, want.diag) and np.array_equal(op.offdiag, want.offdiag)
 
 
 class TestCanonicalizeCommand:
