@@ -8,6 +8,10 @@ conjugation fixing the cyclic vector), and the sufficiency proof is
 constructive -- Gram-Schmidt plus a phase fix.  One QR of the Krylov
 matrix, diag(R) real and positive, serves both: the Gram determinants are
 read off Q and R, and ``canonicalize`` rotates Q into the canonical basis.
+The Krylov vectors of A and of A^* come out of one pass, one batched
+product per order with the stacked operator [A, A^*].  The dense band test
+zeroes the three central diagonals of one |A| in place and takes the
+largest entry left, with no mask arrays.
 The determinants are of unit vectors, so they are real and lie in [0, 1];
 they are held as one read-only float64 array, which every report on the
 input wraps.  The latest factorization is kept, keyed on the full input
@@ -17,6 +21,7 @@ once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,16 @@ class CanonicalForm:
     matrix: TridiagonalSymmetric
     phases: np.ndarray
     gram: GramReport
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a complex vector, as ``np.linalg.norm(v)`` forms it."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    """The 2-norms of the columns of v, as ``np.linalg.norm(v, axis=0)`` forms them."""
+    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=0))
 
 
 def _vanishing_subdiagonal(sub: np.ndarray, thresh: float) -> str | None:
@@ -85,7 +100,15 @@ def is_class_matrix(
     scale = max(1.0, float(np.abs(a).max()))
     unit = a / scale  # no difference of entries near the float64 limit overflows
 
-    off_band = float(np.abs(np.triu(unit, 2) + np.tril(unit, -2)).max())
+    # the largest |entry| off the band: in a C-ordered d x d array the main,
+    # upper and lower diagonals are the flat elements 0, 1 and d onwards in
+    # steps of d + 1, so they are zeroed in place
+    band = np.abs(unit, out=np.empty((d, d)))
+    flat = band.reshape(-1)
+    flat[:: d + 1] = 0.0
+    flat[1 :: d + 1] = 0.0
+    flat[d :: d + 1] = 0.0
+    off_band = float(band.max())
     if off_band > eps:
         return False, None, f"not tridiagonal: off-band entry of magnitude {off_band * scale:.3e}"
 
@@ -110,7 +133,11 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
     U = A / max(1, max|A|), so it stays finite for entries near the
     float64 limit.  ``j`` is checked first (unitary and symmetric C).
     """
-    a = as_complex_matrix(a, "A")
+    return _j_residual(as_complex_matrix(a, "A"), j, tol)
+
+
+def _j_residual(a: np.ndarray, j: ConjugationMap, tol: float) -> float:
+    """``verify_j_symmetric`` of an A that ``as_complex_matrix`` returned."""
     if a.shape[0] != j.dim:
         raise InputError("operator and conjugation dimensions differ")
     j.check(tol)
@@ -119,18 +146,30 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
     return float(np.abs(juj - u.conj().T).max())
 
 
-def _krylov(a: np.ndarray, x0: np.ndarray, power: str = "A") -> np.ndarray:
-    """Columns x0, A x0, ..., A^{d-1} x0 scaled to largest entry 1, as ||A^j x0||
-    grows like ||A||^j (a zero column stays zero); raises if one overflowed."""
-    k = np.empty((len(x0), len(x0)), dtype=np.complex128)  # row i holds A^i x0
-    k[0] = x0
+def _krylov(a: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Krylov matrices of A and A^* from x0, built together: ``k[0]``
+    has columns x0, A x0, ..., A^{d-1} x0 and ``k[1]`` the same with A^*.
+
+    Each order is one batched product with the stacked (2, d, d) operator
+    [A, A^*].  Every column is scaled to largest entry 1, as ||A^j x0||
+    grows like ||A||^j (a zero column stays zero), and ``scales`` (2, d)
+    holds the divisors: an entry that is inf or nan marks a column that
+    overflowed, and the caller checks each family with ``require_finite``.
+    """
+    d = len(x0)
+    ops = np.empty((2, d, d), dtype=np.complex128)
+    ops[0] = a
+    np.conjugate(a.T, out=ops[1])
+    rows = np.empty((d, 2, d, 1), dtype=np.complex128)  # rows[i, f] holds F^i x0, F = A, A^*
+    rows[0, :, :, 0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, len(k)):
-            np.matmul(a, k[i - 1], out=k[i])
-    k = k.T.copy()  # contiguous: a transposed view rounds the later column norms differently
-    scales = np.abs(k).max(axis=0)
-    require_finite(scales, lambda j: f"Krylov order {j}: {power}^{j} x0 overflows")
-    return k / np.where(scales > 0, scales, 1.0)
+        for i in range(1, d):
+            np.matmul(ops, rows[i - 1], out=rows[i])
+        # each family contiguous: a transposed view rounds the later column norms differently
+        k = rows[..., 0].transpose(1, 2, 0).copy()
+        scales = np.abs(k).max(axis=1)
+        k /= np.where(scales > 0, scales, 1.0)[:, None, :]
+    return k, scales
 
 
 def _require_cyclic(k: np.ndarray) -> None:
@@ -163,26 +202,30 @@ def _krylov_qr(
     if len(x0) != d or j.dim != d:
         raise InputError("dimension mismatch between A, x0 and J")
     # a power of two scales exactly, so no digit of x0 is lost; a zero x0 stays zero
-    e = 1 - np.frexp(np.abs(x0).max())[1]
+    e = 1 - math.frexp(np.abs(x0).max())[1]
     x0 = np.ldexp(x0.real, e) + 1j * np.ldexp(x0.imag, e)
-    jx_res = float(np.linalg.norm(j.apply(x0) - x0))
-    if not rel_zero(jx_res, float(np.linalg.norm(x0)), tol):
+    jx_res = _norm(j.apply(x0) - x0)
+    if not rel_zero(jx_res, _norm(x0), tol):
         raise PreconditionError(
             f"J x0 != x0 (residual {jx_res:.3e}); the criterion needs a fixed vector"
         )
-    k = _krylov(a, x0)
-    _require_cyclic(k)
-    y = _krylov(a.conj().T, x0, "(A^*)")[:, 1:]
+    k, scales = _krylov(a, x0)
+    require_finite(scales[0], lambda j: f"Krylov order {j}: A^{j} x0 overflows")
+    _require_cyclic(k[0])
+    require_finite(scales[1], lambda j: f"Krylov order {j}: (A^*)^{j} x0 overflows")
+    k, y = k[0], k[1, :, 1:]
 
     # columns have largest entry 1, so no norm overflows; x0 is cyclic, so no r_ii is 0
-    q, r = np.linalg.qr(k / np.linalg.norm(k, axis=0))
+    q, r = np.linalg.qr(k / _column_norms(k))
     r_diag = r.diagonal()
     q *= r_diag / np.abs(r_diag)
     q.flags.writeable = False
-    y_norms = np.linalg.norm(y, axis=0)
+    y_norms = _column_norms(y)
     y /= np.where(y_norms > 0, y_norms, 1.0)
-    # column n - 1 sums |(Q^H y_n)_l|^2 over l > n
-    dist = np.tril(np.abs(q.conj().T @ y) ** 2, -2).sum(axis=0)
+    # column n - 1 sums |(Q^H y_n)_l|^2 over l > n: the rows l <= n are zeroed
+    proj = np.abs(q.conj().T @ y) ** 2
+    proj *= np.arange(d)[:, None] >= np.arange(2, d + 1)
+    dist = np.add.reduce(proj, axis=0)
     gammas = (np.abs(r_diag) ** 2).cumprod()[1:] * dist
     gammas.flags.writeable = False
     return q, gammas
@@ -238,7 +281,7 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
 
-    res = verify_j_symmetric(a, j, tol)
+    res = _j_residual(a, j, tol)
     if res > tol:
         raise PreconditionError(f"A is not J-symmetric (relative residual {res:.3e})")
     g, report = _memo_krylov_qr(a, x0, j, tol)
@@ -248,9 +291,10 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
             f"(max relative Gamma = {report.max_relative():.3e})"
         )
 
-    jg = j.apply(g)
-    beta = (jg * np.conj(g)).sum(axis=0)
-    dev = np.linalg.norm(jg - beta * g, axis=0)
+    g_conj = np.conj(g)
+    jg = j.matrix @ g_conj
+    beta = np.add.reduce(jg * g_conj, axis=0)
+    dev = _column_norms(jg - beta * g)
     bad = dev > tol
     if bad.any():
         r = int(bad.argmax())
@@ -260,7 +304,7 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
         )
     # phi_r in [-tol, 2 pi - tol): with the cut at 0, rounding picks the
     # sign of u_r whenever phi_r is 0, as phi_0 is on every input (J x0 = x0)
-    phases = (np.angle(beta) + tol) % (2 * np.pi) - tol
+    phases = (np.arctan2(beta.imag, beta.real) + tol) % (2 * np.pi) - tol
     u = g * np.exp(0.5j * phases)
 
     m_dense = u.conj().T @ a @ u

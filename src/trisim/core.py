@@ -5,6 +5,7 @@ Everything downstream works with dense complex128 arrays.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import dataclass
 
@@ -121,11 +122,13 @@ class ConjugationMap:
         # entries near the float64 limit overflow a residual to inf or nan,
         # which is rejected like any other large residual
         with np.errstate(over="ignore", invalid="ignore"):
-            uni = float(np.abs(c.conj().T @ c - np.eye(self.dim)).max())
+            gram = c.conj().T @ c
+            gram.reshape(-1)[:: self.dim + 1] -= 1.0  # minus the identity
+            uni = float(np.abs(gram).max())
             sym = float(np.abs(c - c.T).max())
             scale = float(np.abs(c).max())
         for law, res in (("unitary", uni), ("symmetric", sym)):
-            if not (np.isfinite(res) and rel_zero(res, scale, tol)):
+            if not (math.isfinite(res) and rel_zero(res, scale, tol)):
                 raise InputError(f"conjugation matrix is not {law} (residual {res:.3e})")
 
     @classmethod

@@ -78,8 +78,8 @@ def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.
     ``ext`` is the matrix extended to at least n_max + 1 rows.
     """
     z = np.asarray(z, dtype=np.complex128)
-    if n_max + 1 > ext.dim:
-        raise InputError("extension too short for the requested degree")
+    if not 0 <= n_max < ext.dim:
+        raise InputError(f"n_max must lie in 0..{ext.dim - 1}, the degrees the extension holds")
     vals = np.empty((n_max + 1, len(z)), dtype=np.complex128)
     vals[0] = 1.0
     # row n + 1 starts as z - b_n and is finished in place, in the order of
@@ -156,9 +156,12 @@ def orthonormality_residuals(
     BLAS syrk that is exactly symmetric.  Raises ``PreconditionError``
     naming the first degree whose scale overflows.
     """
-    p = np.asarray(poly_at_atoms[: n_max + 1], dtype=np.complex128)
+    p = np.asarray(poly_at_atoms, dtype=np.complex128)
     if p.ndim != 2 or p.shape[1] != mu.n_atoms:
         raise InputError(f"values need one column per atom, got shape {p.shape}")
+    if not 0 <= n_max < len(p):
+        raise InputError(f"n_max must lie in 0..{len(p) - 1}, the degrees the values hold")
+    p = p[: n_max + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         v = p * np.sqrt(mu.masses)
         av = np.abs(v)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from trisim.classify import (
 )
 from trisim.core import (
     ConjugationMap,
+    ConsistencyError,
     InputError,
     PreconditionError,
     TridiagonalSymmetric,
@@ -91,6 +95,76 @@ class TestIsClassMatrix:
             else:
                 assert tri is None and tri_dense is None
         assert "a_1 vanishes" in is_class_matrix(weak)[2]
+
+    @staticmethod
+    def reference_dense(m, eps):
+        """The dense branch as it read with np.triu / np.tril masks."""
+        a = np.asarray(m, dtype=complex)
+        scale = max(1.0, float(np.abs(a).max()))
+        unit = a / scale
+        off_band = float(np.abs(np.triu(unit, 2) + np.tril(unit, -2)).max())
+        if off_band > eps:
+            return False, None, f"not tridiagonal: off-band entry of magnitude {off_band * scale:.3e}"
+        asym = float(np.abs(unit - unit.T).max())
+        if asym > eps:
+            return False, None, f"not complex symmetric: max |m[k,l] - m[l,k]| = {asym * scale:.3e}"
+        sub = a.diagonal(1)
+        small = np.abs(sub) <= eps * scale
+        if small.any():
+            k = int(small.argmax())
+            return False, None, f"sub-diagonal entry a_{k} vanishes (|a_{k}| = {abs(sub[k]):.3e})"
+        return True, (a.diagonal().copy(), 0.5 * sub + 0.5 * a.diagonal(-1)), "ok"
+
+    @staticmethod
+    def dense_cases():
+        """Members, off-band entries on both sides of the threshold,
+        asymmetric and vanishing sub-diagonal entries, at three scales and
+        in C order, Fortran order and as a transposed view."""
+        rng = np.random.default_rng(27)
+        for seed in range(24):
+            d = 2 + seed % 11
+            m = random_class_matrix(2700 + seed, d).dense()
+            variants = [m]
+            if d > 2:
+                for size in (1e-10, 1e-9, 2e-9, 1e-3, 5.0):
+                    k = int(rng.integers(0, d - 2))
+                    l = int(rng.integers(k + 2, d))
+                    wide = m.copy()
+                    wide[l, k] += size * np.exp(2j * np.pi * rng.uniform())
+                    variants.append(wide)
+                    if seed % 2:
+                        wide = wide.copy()
+                        wide[k, l] = wide[l, k]  # still symmetric
+                        variants.append(wide)
+            for size in (1e-10, 1e-6):
+                lop = m.copy()
+                k = int(rng.integers(0, d - 1))
+                lop[k, k + 1] += size
+                variants.append(lop)
+            gap = m.copy()
+            k = int(rng.integers(0, d - 1))
+            gap[k, k + 1] = gap[k + 1, k] = 1e-12 * (1 + 1j)
+            variants.append(gap)
+            for v, scale in itertools.product(variants, (1.0, 1e150, 1e-150)):
+                for layout in (v * scale, np.asfortranarray(v * scale), (v * scale).T):
+                    yield layout
+
+    def test_dense_band_test_matches_the_mask_formula(self):
+        outcomes = Counter()
+        for m in self.dense_cases():
+            for eps in (1e-9, 0.4):
+                ok, tri, reason = is_class_matrix(m, eps)
+                ok_ref, bands, reason_ref = self.reference_dense(m, eps)
+                assert (ok, reason) == (ok_ref, reason_ref)
+                if ok:
+                    assert np.array_equal(tri.diag, bands[0])
+                    assert np.array_equal(tri.offdiag, bands[1])
+                else:
+                    assert tri is None
+                outcomes[reason.split(":")[0].split(" (")[0]] += 1
+        # every verdict occurs, so each branch was compared
+        assert {"ok", "not tridiagonal", "not complex symmetric"} <= set(outcomes)
+        assert any(r.startswith("sub-diagonal entry") for r in outcomes)
 
 
 class TestVerifyJSymmetric:
@@ -221,6 +295,16 @@ class TestGramCondition:
         a = np.array([[0, 0, 1e300], [1, 0, 0], [0, 1e300, 0]], dtype=complex)
         with pytest.raises(PreconditionError, match=r"order 2: \(A\^\*\)\^2 x0 overflows"):
             gram_condition_check(a, e0(3), ConjugationMap.standard(3))
+
+    def test_checks_run_in_order_a_cyclicity_adjoint(self):
+        # both families come out of one pass, but an overflow of A's is
+        # named first, then a non-cyclic x0, and only then an overflow of A^*'s
+        shift = np.diag([1e200, 1e200], -1).astype(complex)  # A e_0 = 1e200 e_1, A^2 e_0 = 1e400 e_2
+        with pytest.raises(PreconditionError, match=r"order 2: A\^2 x0 overflows"):
+            gram_condition_check(shift, e0(3), ConjugationMap.standard(3))
+        # A e_0 = 0, while (A^*)^2 e_0 = 1e400 e_2
+        with pytest.raises(PreconditionError, match="not a cyclic vector"):
+            gram_condition_check(shift.T, e0(3), ConjugationMap.standard(3))
 
     def test_x0_not_fixed_by_j(self):
         with pytest.raises(PreconditionError, match="x0"):
@@ -514,3 +598,93 @@ class TestKrylovMemo:
             assert bits(canonicalize(*args)) == form_alone
             fresh(canonicalize, *args)
             assert gram_condition_check(*args).gammas.tobytes() == gram_alone
+
+
+def envelope_member(d, s):
+    """The membership-envelope input (d, s): a class matrix disguised by the
+    Q of complex normals, with C = Q Q^T and x0 = Q e_0."""
+    m = random_class_matrix(7000 + 100 * d + s, d)
+    rng = np.random.default_rng(11000 + 100 * d + s)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return m, q @ m.dense() @ q.conj().T, q[:, 0], ConjugationMap(q @ q.T)
+
+
+class TestMembershipEnvelope:
+    """Verdicts on 20 disguised members per d, at tol 1e-8.  The monomial
+    Krylov matrix loses cyclicity past d = 20, so members are rejected there;
+    an orthogonal Krylov basis (ROADMAP item 7) is expected to change these
+    counts, and this table with them."""
+
+    WANT = {
+        8: (20, 0, 0),
+        16: (20, 0, 0),
+        20: (20, 0, 0),
+        22: (16, 4, 0),
+        24: (18, 2, 0),
+        28: (7, 12, 1),
+    }
+
+    @pytest.mark.parametrize("d", sorted(WANT))
+    def test_verdicts_and_moments(self, d):
+        accepted, not_cyclic, inconsistent = 0, 0, 0
+        for s in range(20):
+            m, a, x0, j = envelope_member(d, s)
+            try:
+                assert gram_condition_check(a, x0, j, 1e-8).passed
+                form = canonicalize(a, x0, j, 1e-8)
+            except PreconditionError as e:
+                assert "x0 is not a cyclic vector" in str(e)
+                not_cyclic += 1
+                continue
+            except ConsistencyError:
+                inconsistent += 1
+                continue
+            accepted += 1
+            want = spectral_moments(m, 2 * d + 1).values
+            got = spectral_moments(form.matrix, 2 * d + 1).values
+            assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-7
+        assert (accepted, not_cyclic, inconsistent) == self.WANT[d]
+
+
+class TestNoRemovedHelpers:
+    """np.linalg.norm, np.angle and the twodim helpers (np.eye, np.tri,
+    np.triu, np.tril) are Python wrappers that cost microseconds a call
+    around arithmetic of a few elements; the membership op does that
+    arithmetic itself, so none of them may run on its path."""
+
+    def test_membership_op_enters_no_removed_helper(self):
+        numpy_dir = os.path.dirname(np.__file__)
+        trisim_dir = os.path.dirname(classify.__file__)
+        twodim = os.path.join("lib", "_twodim_base_impl.py")
+        banned = {"norm": os.path.join("linalg", "_linalg.py"),
+                  "angle": os.path.join("lib", "_function_base_impl.py")}
+        hits, entered = Counter(), set()
+
+        def hook(frame, event, arg):
+            # a numpy function trisim called directly; a dispatcher runs just
+            # before the function it dispatches to, so only the latter counts
+            code = frame.f_code
+            if event != "call" or not code.co_filename.startswith(numpy_dir):
+                return
+            if frame.f_back is None or not frame.f_back.f_code.co_filename.startswith(trisim_dir):
+                return
+            if code.co_name.endswith("_dispatcher"):
+                return
+            entered.add(code.co_name)
+            path = os.path.relpath(code.co_filename, numpy_dir)
+            if path == twodim or banned.get(code.co_name) == path:
+                caller = frame.f_back
+                hits[f"np.{code.co_name} at {os.path.basename(caller.f_code.co_filename)}:{caller.f_lineno}"] += 1
+
+        m, a, x0, j = envelope_member(8, 0)
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            passed = gram_condition_check(a, x0, j, 1e-8).passed
+            form = canonicalize(a, x0, j, 1e-8)
+            spectral_moments(form.matrix, 17)
+        finally:
+            sys.setprofile(previous)
+        assert passed
+        assert {"qr", "svd"} <= entered  # the hook sees trisim's direct numpy calls
+        assert not hits, f"removed helpers ran: {dict(hits)}"

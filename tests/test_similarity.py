@@ -100,6 +100,36 @@ class TestBuildPolynomials:
         build_polynomials(m, 2)  # divides by a_0 and a_1 only
 
 
+class TestDegreeRange:
+    """n_max must name a degree the values or the extension hold; a number
+    outside 0..rows - 1 is an input error that names the allowed range."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return build_transform(random_class_matrix(3, 4))
+
+    def test_residuals_reject_a_degree_past_the_values(self, data):
+        with pytest.raises(InputError, match=r"n_max must lie in 0\.\.4"):
+            orthonormality_residuals(data.poly_at_atoms, data.measure, 7)
+
+    def test_residuals_reject_a_negative_degree(self, data):
+        with pytest.raises(InputError, match=r"n_max must lie in 0\.\.4"):
+            orthonormality_residuals(data.poly_at_atoms, data.measure, -1)
+
+    @pytest.mark.parametrize("n_max", [-1, -2])
+    def test_recurrence_rejects_a_negative_degree(self, data, n_max):
+        with pytest.raises(InputError, match=r"n_max must lie in 0\.\.4"):
+            eval_recurrence(data.polys.ext, n_max, data.measure.atoms)
+
+    def test_recurrence_rejects_a_degree_past_the_extension(self, data):
+        with pytest.raises(InputError, match=r"n_max must lie in 0\.\.4"):
+            eval_recurrence(data.polys.ext, 5, data.measure.atoms)
+
+    def test_top_degree_is_accepted(self, data):
+        assert eval_recurrence(data.polys.ext, 4, data.measure.atoms).shape == (5, data.measure.n_atoms)
+        assert orthonormality_residuals(data.poly_at_atoms, data.measure, 4).shape == (5, 5)
+
+
 class TestPolyOfOperatorVector:
     def test_k0_identity(self):
         fam = build_polynomials(CHAIN2, 2)
