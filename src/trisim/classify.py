@@ -9,14 +9,14 @@ constructive -- Gram-Schmidt plus a phase fix.  One QR of the Krylov
 matrix, diag(R) real and positive, serves both: the Gram determinants are
 read off Q and R, and ``canonicalize`` rotates Q into the canonical basis.
 The Krylov vectors of A and of A^* come out of one pass, one batched
-product per order with the stacked operator [A, A^*].  The dense band test
-zeroes the three central diagonals of one |A| in place and takes the
-largest entry left, with no mask arrays.
-The determinants are of unit vectors, so they are real and lie in [0, 1];
-they are held as one read-only float64 array, which every report on the
-input wraps.  The latest factorization is kept, keyed on the full input
-content, so the criterion and then the construction on one input factor
-once.
+product per order with the stacked operator [A, A^*], A first scaled by a
+power of two so that none can overflow.  The dense band test zeroes the
+three central diagonals of one |A| in place and takes the largest entry
+left, with no mask arrays.  The determinants are of unit vectors, so they
+are real and lie in [0, 1]; they are held as one read-only float64 array,
+which every report on the input wraps.  The latest factorization is kept,
+keyed on the full input content, so the criterion and then the
+construction on one input factor once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .core import (
     as_complex_matrix,
     as_complex_vector,
     rel_zero,
-    require_finite,
 )
 
 CYCLIC_RANK_TOL = 1e-8
@@ -146,30 +145,30 @@ def _j_residual(a: np.ndarray, j: ConjugationMap, tol: float) -> float:
     return float(np.abs(juj - u.conj().T).max())
 
 
-def _krylov(a: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _krylov(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """The Krylov matrices of A and A^* from x0, built together: ``k[0]``
     has columns x0, A x0, ..., A^{d-1} x0 and ``k[1]`` the same with A^*.
 
-    Each order is one batched product with the stacked (2, d, d) operator
-    [A, A^*].  Every column is scaled to largest entry 1, as ||A^j x0||
-    grows like ||A||^j (a zero column stays zero), and ``scales`` (2, d)
-    holds the divisors: an entry that is inf or nan marks a column that
-    overflowed, and the caller checks each family with ``require_finite``.
+    A is first scaled down by a power of two to d max|A| < 1, so no Krylov
+    vector outgrows x0 and every direction stays as it was.  Each order is
+    one batched product with the stacked (2, d, d) operator [A, A^*].  A
+    column whose largest entry is a normal float64 is scaled to largest
+    entry 1; a zero or subnormal one stays, and reads as rank deficient.
     """
     d = len(x0)
+    e = min(0, -math.frexp(np.abs(a).max())[1] - d.bit_length())
     ops = np.empty((2, d, d), dtype=np.complex128)
-    ops[0] = a
-    np.conjugate(a.T, out=ops[1])
+    np.multiply(a, 2.0**e, out=ops[0])
+    np.conjugate(ops[0].T, out=ops[1])
     rows = np.empty((d, 2, d, 1), dtype=np.complex128)  # rows[i, f] holds F^i x0, F = A, A^*
     rows[0, :, :, 0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, d):
-            np.matmul(ops, rows[i - 1], out=rows[i])
-        # each family contiguous: a transposed view rounds the later column norms differently
-        k = rows[..., 0].transpose(1, 2, 0).copy()
-        scales = np.abs(k).max(axis=1)
-        k /= np.where(scales > 0, scales, 1.0)[:, None, :]
-    return k, scales
+    for i in range(1, d):
+        np.matmul(ops, rows[i - 1], out=rows[i])
+    # each family contiguous: a transposed view rounds the later column norms differently
+    k = rows[..., 0].transpose(1, 2, 0).copy()
+    scales = np.abs(k).max(axis=1)
+    k /= np.where(scales >= np.finfo(np.float64).tiny, scales, 1.0)[:, None, :]
+    return k
 
 
 def _require_cyclic(k: np.ndarray) -> None:
@@ -191,7 +190,7 @@ def _krylov_qr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Q of the unit Krylov matrix K = QR, diag(R) real and positive, and
     Gamma_1..Gamma_{d-1} read off it, for x0 scaled to largest entry in
-    [1, 2).  Both arrays are read-only.
+    [1, 2) and A scaled as ``_krylov`` does.  Both arrays are read-only.
 
     With y_n the unit (A^*)^n x0, Gamma_n = prod_{i<=n} r_ii^2 *
     sum_{i>n} |(Q^H y_n)_i|^2: the Gram determinant of k_0..k_n times the
@@ -209,10 +208,8 @@ def _krylov_qr(
         raise PreconditionError(
             f"J x0 != x0 (residual {jx_res:.3e}); the criterion needs a fixed vector"
         )
-    k, scales = _krylov(a, x0)
-    require_finite(scales[0], lambda j: f"Krylov order {j}: A^{j} x0 overflows")
+    k = _krylov(a, x0)
     _require_cyclic(k[0])
-    require_finite(scales[1], lambda j: f"Krylov order {j}: (A^*)^{j} x0 overflows")
     k, y = k[0], k[1, :, 1:]
 
     # columns have largest entry 1, so no norm overflows; x0 is cyclic, so no r_ii is 0
@@ -256,9 +253,10 @@ def gram_condition_check(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> 
     """Gram determinants Gamma(x0, A x0, ..., A^n x0, (A^*)^n x0), n = 1..d-1.
 
     All of them vanishing is the membership condition, given that J fixes
-    x0 and x0 is cyclic; both hypotheses are checked first.  Gamma_n is
-    read off the QR that ``canonicalize`` takes its basis from, with x0
-    scaled to largest entry in [1, 2), so it does not depend on the scale of x0.
+    x0 and x0 is cyclic; both hypotheses are checked first (that J is a
+    conjugation is not; ``canonicalize`` checks it).  Gamma_n is read off
+    the QR that ``canonicalize`` takes its basis from, with x0 and A scaled
+    by powers of two, so it does not depend on the scale of either.
     That QR is computed once per input content: ``canonicalize`` on the
     same (a, x0, j, tol) next reuses it.
     """

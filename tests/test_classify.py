@@ -290,18 +290,18 @@ class TestGramCondition:
         report = gram_condition_check(a, x0, ConjugationMap.standard(3))
         assert report.gammas.tolist() == [0, 0]
 
-    def test_overflowing_adjoint_power(self):
-        # x0, A x0, A^2 x0 are e_0, e_1, 1e300 e_2; (A^*)^2 x0 is 1e600 e_1
+    def test_adjoint_power_past_float64(self):
+        # x0, A x0, A^2 x0 are e_0, e_1, 1e300 e_2 and (A^*)^2 x0 is 1e600 e_1:
+        # A is scaled down before any power is formed, so no Krylov vector
+        # overflows and each keeps its direction
         a = np.array([[0, 0, 1e300], [1, 0, 0], [0, 1e300, 0]], dtype=complex)
-        with pytest.raises(PreconditionError, match=r"order 2: \(A\^\*\)\^2 x0 overflows"):
-            gram_condition_check(a, e0(3), ConjugationMap.standard(3))
+        assert gram_condition_check(a, e0(3), ConjugationMap.standard(3)).gammas.tolist() == [1, 0]
 
-    def test_checks_run_in_order_a_cyclicity_adjoint(self):
-        # both families come out of one pass, but an overflow of A's is
-        # named first, then a non-cyclic x0, and only then an overflow of A^*'s
-        shift = np.diag([1e200, 1e200], -1).astype(complex)  # A e_0 = 1e200 e_1, A^2 e_0 = 1e400 e_2
-        with pytest.raises(PreconditionError, match=r"order 2: A\^2 x0 overflows"):
-            gram_condition_check(shift, e0(3), ConjugationMap.standard(3))
+    def test_shift_past_float64(self):
+        # A e_0 = 1e200 e_1 and A^2 e_0 = 1e400 e_2: e_0 is cyclic, and
+        # (A^*)^n e_0 = 0 enters every Gamma_n as a zero column
+        shift = np.diag([1e200, 1e200], -1).astype(complex)
+        assert gram_condition_check(shift, e0(3), ConjugationMap.standard(3)).gammas.tolist() == [0, 0]
         # A e_0 = 0, while (A^*)^2 e_0 = 1e400 e_2
         with pytest.raises(PreconditionError, match="not a cyclic vector"):
             gram_condition_check(shift.T, e0(3), ConjugationMap.standard(3))
@@ -342,6 +342,16 @@ class TestCyclicityGuard:
         nilpotent = np.diag(np.ones(2), 1)
         with pytest.raises(PreconditionError, match=r"cyclic.* = 0\.000e\+00"):
             gram_condition_check(nilpotent, np.array([0.0, 1.0, 0.0]), ConjugationMap.standard(3))
+
+    @pytest.mark.parametrize("scale", [1e-105, 1e-108])
+    def test_subnormal_krylov_column_is_not_cyclic(self, scale):
+        # A^3 e_0 is subnormal: its column is left unscaled and reads as rank
+        # deficient, where dividing by its subnormal maximum gave inf and
+        # then NaN Gammas or numpy's LinAlgError
+        a = scale * random_class_matrix(3, 4).dense()
+        for f in (gram_condition_check, canonicalize):
+            with pytest.raises(PreconditionError, match="x0 is not a cyclic vector"):
+                f(a, e0(4), ConjugationMap.standard(4))
 
 
 class TestCanonicalize:
@@ -436,6 +446,22 @@ class TestCanonicalize:
         want = canonicalize(a, x0, j).matrix.dense()
         got = canonicalize(a, scale * x0, j).matrix.dense()
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [4, 8, 12])
+    def test_power_of_two_scale_of_a_is_exact(self, d):
+        # scaling A by c = 2^k moves no bit of Gamma, the basis or the
+        # phases, and multiplies the bands by exactly c; at 2^300 (d = 8, 12)
+        # and 2^1000 the raw Krylov vectors overflow float64
+        a, x0, j = self.disguised(d, d)
+        want = canonicalize(a, x0, j)
+        for k in (64, 300, 1000):
+            c = 2.0**k
+            assert gram_condition_check(c * a, x0, j).gammas.tobytes() == want.gram.gammas.tobytes()
+            got = canonicalize(c * a, x0, j)
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.phases.tobytes() == want.phases.tobytes()
+            assert np.array_equal(got.matrix.diag, c * want.matrix.diag)
+            assert np.array_equal(got.matrix.offdiag, c * want.matrix.offdiag)
 
     def test_tol_is_used(self):
         # a J-symmetry residual of 5e-9 relative lies between the tol and

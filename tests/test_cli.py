@@ -1012,18 +1012,34 @@ class TestCanonicalizeCommand:
         op["C"] = io.dense_to_json(np.eye(16))["rows"]
         assert main(["classify", "--input", write(tmp_path, "op.json", op)]) == 0
 
-    @pytest.mark.parametrize("command", ["classify", "canonicalize"])
-    def test_overflowing_krylov_vectors_exit_3(self, tmp_path, command):
-        # e0 is cyclic, but A^4 e0 has entries 1e400
+    def test_krylov_vectors_past_float64(self, tmp_path):
+        # e0 is cyclic, and A^4 e0 has entries 1e400: A is scaled down before
+        # any power is formed, so the chain is a member like any other
         a = np.diag(np.full(4, 1e100), 1)
         op = io.dense_to_json(a + a.T)
         op["C"] = io.dense_to_json(np.eye(5))["rows"]
         op["x0"] = [[1.0, 0.0]] + [[0.0, 0.0]] * 4
+        p = write(tmp_path, "op.json", op)
+        proc = run_fresh("classify", "--input", p)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["gram_condition"] is True
+        proc = run_fresh("canonicalize", "--input", p)
+        assert proc.returncode == 0 and proc.stderr == ""
+        tri = io.operator_from_json(json.loads(proc.stdout)["matrix"])
+        assert np.array_equal(tri.offdiag, np.full(4, 1e100))
+
+    @pytest.mark.parametrize("scale", [1e-105, 1e-108])
+    @pytest.mark.parametrize("command", ["classify", "canonicalize"])
+    def test_subnormal_krylov_vectors_exit_3(self, tmp_path, command, scale):
+        # A^3 e0 is subnormal: one line says x0 is not cyclic, where LAPACK
+        # wrote to stdout (1e-105) or a LinAlgError traceback ended the run
+        op = io.dense_to_json(scale * random_class_matrix(3, 4).dense())
+        op["C"] = io.dense_to_json(np.eye(4))["rows"]
+        op["x0"] = [[1.0, 0.0]] + [[0.0, 0.0]] * 3
         proc = run_fresh(command, "--input", write(tmp_path, "op.json", op))
         assert proc.returncode == 3
-        assert "Krylov order 4" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "x0 is not a cyclic vector" in proc.stderr
 
     def test_missing_x0(self, tmp_path):
         p = write(
