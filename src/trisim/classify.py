@@ -10,11 +10,12 @@ matrix, diag(R) real and positive, serves both: the Gram determinants are
 read off Q and R, and ``canonicalize`` rotates Q into the canonical basis.
 The Krylov vectors of A and of A^* come out of one pass, one batched
 product per order with the stacked operator [A, A^*], A first scaled by a
-power of two so that none can overflow.  The dense band test zeroes the
-three central diagonals of one |A| in place and takes the largest entry
-left, with no mask arrays.  The determinants are of unit vectors, so they
-are real and lie in [0, 1]; they are held as one read-only float64 array,
-which every report on the input wraps.  The latest factorization is kept,
+power of two so that none can overflow (a second pass scales each order
+back by a power of two when one would underflow).  The dense band test
+zeroes the three central diagonals of one |A| in place and takes the
+largest entry left, with no mask arrays.  The determinants are of unit
+vectors, so they are real and lie in [0, 1]; they are held as one
+read-only float64 array, which every report on the input wraps.  The latest factorization is kept,
 keyed on the full input content, so the criterion and then the
 construction on one input factor once.
 """
@@ -149,25 +150,37 @@ def _krylov(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """The Krylov matrices of A and A^* from x0, built together: ``k[0]``
     has columns x0, A x0, ..., A^{d-1} x0 and ``k[1]`` the same with A^*.
 
-    A is first scaled down by a power of two to d max|A| < 1, so no Krylov
-    vector outgrows x0 and every direction stays as it was.  Each order is
-    one batched product with the stacked (2, d, d) operator [A, A^*].  A
-    column whose largest entry is a normal float64 is scaled to largest
-    entry 1; a zero or subnormal one stays, and reads as rank deficient.
+    A is first scaled, up or down, by a power of two to d max|A| < 1, so
+    ||A||_2 < 1 and no Krylov vector outgrows x0.  Each order is one
+    batched product with the stacked (2, d, d) operator [A, A^*].  If the
+    largest entry of a vector then falls below 2^-969, where its digits
+    may run into the subnormal range, the powers are formed again with
+    each order scaled back to largest part in [1/2, 1), so none can
+    underflow.  Powers of two move no direction.  Each column is then
+    scaled to largest entry 1; only a vector that is zero to float64
+    precision stays zero.
     """
     d = len(x0)
-    e = min(0, -math.frexp(np.abs(a).max())[1] - d.bit_length())
     ops = np.empty((2, d, d), dtype=np.complex128)
-    np.multiply(a, 2.0**e, out=ops[0])
+    ops[0] = a
+    re_im = ops[0].view(np.float64)
+    np.ldexp(re_im, -math.frexp(np.abs(re_im).max())[1] - (2 * d).bit_length(), out=re_im)
     np.conjugate(ops[0].T, out=ops[1])
     rows = np.empty((d, 2, d, 1), dtype=np.complex128)  # rows[i, f] holds F^i x0, F = A, A^*
     rows[0, :, :, 0] = x0
-    for i in range(1, d):
-        np.matmul(ops, rows[i - 1], out=rows[i])
-    # each family contiguous: a transposed view rounds the later column norms differently
-    k = rows[..., 0].transpose(1, 2, 0).copy()
-    scales = np.abs(k).max(axis=1)
-    k /= np.where(scales >= np.finfo(np.float64).tiny, scales, 1.0)[:, None, :]
+    parts = rows.view(np.float64).reshape(d, 2, 2 * d)  # real and imaginary parts
+    for renormalize in (False, True):
+        for i in range(1, d):
+            np.matmul(ops, rows[i - 1], out=rows[i])
+            if renormalize:
+                exps = np.frexp(np.abs(parts[i]).max(axis=1, keepdims=True))[1]
+                np.ldexp(parts[i], -exps, out=parts[i])
+        # each family contiguous: a transposed view rounds the later column norms differently
+        k = rows[..., 0].transpose(1, 2, 0).copy()
+        scales = np.abs(k).max(axis=1)
+        if scales.min() >= 2.0**-969:
+            break
+    k /= np.where(scales > 0, scales, 1.0)[:, None, :]
     return k
 
 

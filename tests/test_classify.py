@@ -297,6 +297,16 @@ class TestGramCondition:
         a = np.array([[0, 0, 1e300], [1, 0, 0], [0, 1e300, 0]], dtype=complex)
         assert gram_condition_check(a, e0(3), ConjugationMap.standard(3)).gammas.tolist() == [1, 0]
 
+    def test_adjoint_power_below_normal_range(self):
+        # e_0 is cyclic for the lower shift, and A^* e_0 = 2^-1020 e_2 lies
+        # outside span(e_0, e_1), so Gamma_1 = 1; A scaled to norm below 1
+        # takes that vector into the subnormal range, and it must not read
+        # as a vanished Gamma_1
+        a = np.diag(np.ones(3), -1).astype(complex)
+        a[0, 2] = 2.0**-1020
+        report = gram_condition_check(a, e0(4), ConjugationMap.standard(4))
+        assert report.gammas.tolist() == [1, 0, 0] and not report.passed
+
     def test_shift_past_float64(self):
         # A e_0 = 1e200 e_1 and A^2 e_0 = 1e400 e_2: e_0 is cyclic, and
         # (A^*)^n e_0 = 0 enters every Gamma_n as a zero column
@@ -343,15 +353,25 @@ class TestCyclicityGuard:
         with pytest.raises(PreconditionError, match=r"cyclic.* = 0\.000e\+00"):
             gram_condition_check(nilpotent, np.array([0.0, 1.0, 0.0]), ConjugationMap.standard(3))
 
+    def test_krylov_vector_below_normal_range_is_cyclic(self):
+        # A^3 e_0 = 2^-1200 e_3 is past float64, but e_0 is cyclic: each
+        # order is brought back to the normal range, so no column underflows
+        # to zero; (A^*)^n e_0 = 0 is a genuine zero column
+        shift = np.diag([1, 2.0**-600, 2.0**-600], -1).astype(complex)
+        assert gram_condition_check(shift, e0(4), ConjugationMap.standard(4)).gammas.tolist() == [0, 0, 0]
+
     @pytest.mark.parametrize("scale", [1e-105, 1e-108])
-    def test_subnormal_krylov_column_is_not_cyclic(self, scale):
-        # A^3 e_0 is subnormal: its column is left unscaled and reads as rank
-        # deficient, where dividing by its subnormal maximum gave inf and
-        # then NaN Gammas or numpy's LinAlgError
-        a = scale * random_class_matrix(3, 4).dense()
-        for f in (gram_condition_check, canonicalize):
-            with pytest.raises(PreconditionError, match="x0 is not a cyclic vector"):
-                f(a, e0(4), ConjugationMap.standard(4))
+    def test_tiny_member_stays_cyclic(self, scale):
+        # A^3 e_0 of the scaled member is subnormal in float64, yet x0 is
+        # cyclic and Gamma is scale-free: no NaN Gamma, no LinAlgError
+        m = random_class_matrix(3, 4).dense()
+        j = ConjugationMap.standard(4)
+        want = gram_condition_check(m, e0(4), j).gammas
+        report = gram_condition_check(scale * m, e0(4), j)
+        assert report.passed and np.max(np.abs(report.gammas - want)) <= 1e-12
+        # canonicalize then meets the class test's floor eps * max(1, max|entry|)
+        with pytest.raises(ConsistencyError, match="sub-diagonal entry a_0 vanishes"):
+            canonicalize(scale * m, e0(4), j)
 
 
 class TestCanonicalize:
@@ -451,9 +471,12 @@ class TestCanonicalize:
     def test_power_of_two_scale_of_a_is_exact(self, d):
         # scaling A by c = 2^k moves no bit of Gamma, the basis or the
         # phases, and multiplies the bands by exactly c; at 2^300 (d = 8, 12)
-        # and 2^1000 the raw Krylov vectors overflow float64
+        # and 2^1000 the raw Krylov vectors overflow float64, at 2^-300 and
+        # 2^-1000 they underflow
         a, x0, j = self.disguised(d, d)
         want = canonicalize(a, x0, j)
+        for k in (-64, -300, -1000):
+            assert gram_condition_check(2.0**k * a, x0, j).gammas.tobytes() == want.gram.gammas.tobytes()
         for k in (64, 300, 1000):
             c = 2.0**k
             assert gram_condition_check(c * a, x0, j).gammas.tobytes() == want.gram.gammas.tobytes()
