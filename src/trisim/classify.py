@@ -37,7 +37,6 @@ from .core import (
     TridiagonalSymmetric,
     as_complex_matrix,
     as_complex_vector,
-    rel_zero,
 )
 
 CYCLIC_RANK_TOL = 1e-8
@@ -130,18 +129,22 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
 
     The composition J A J is antilinear twice, hence linear, with matrix
     C conj(A) conj(C).  The residual is max|C conj(U) conj(C) - U^H| for
-    U = A / max(1, max|A|), so it stays finite for entries near the
-    float64 limit.  ``j`` is checked first (unitary and symmetric C).
+    U = A / max|A|: it does not depend on the scale of A and stays finite
+    near the float64 limit.  ``j`` is checked first (unitary, symmetric C).
     """
-    return _j_residual(as_complex_matrix(a, "A"), j, tol)
-
-
-def _j_residual(a: np.ndarray, j: ConjugationMap, tol: float) -> float:
-    """``verify_j_symmetric`` of an A that ``as_complex_matrix`` returned."""
+    a = as_complex_matrix(a, "A")
     if a.shape[0] != j.dim:
         raise InputError("operator and conjugation dimensions differ")
     j.check(tol)
-    u = a / max(1.0, float(np.abs(a).max()))
+    return _j_residual(a, j)
+
+
+def _j_residual(a: np.ndarray, j: ConjugationMap) -> float:
+    """The residual of ``verify_j_symmetric``, for A and C of one dimension."""
+    scale = float(np.abs(a).max())
+    if scale < 2.0**-1022:  # numpy divides complex by real as a * (1 / scale), inf below 2^-1024
+        return _j_residual(a * 2.0**1022, j) if scale else 0.0
+    u = a / scale
     juj = j.matrix @ np.conj(u) @ np.conj(j.matrix)
     return float(np.abs(juj - u.conj().T).max())
 
@@ -204,6 +207,7 @@ def _krylov_qr(
     """Q of the unit Krylov matrix K = QR, diag(R) real and positive, and
     Gamma_1..Gamma_{d-1} read off it, for x0 scaled to largest entry in
     [1, 2) and A scaled as ``_krylov`` does.  Both arrays are read-only.
+    Raises unless J is a conjugation, J x0 = x0 and x0 is cyclic.
 
     With y_n the unit (A^*)^n x0, Gamma_n = prod_{i<=n} r_ii^2 *
     sum_{i>n} |(Q^H y_n)_i|^2: the Gram determinant of k_0..k_n times the
@@ -213,11 +217,12 @@ def _krylov_qr(
     d = a.shape[0]
     if len(x0) != d or j.dim != d:
         raise InputError("dimension mismatch between A, x0 and J")
-    # a power of two scales exactly, so no digit of x0 is lost; a zero x0 stays zero
+    j.check(tol)
+    # a power of two scales exactly, so no digit of x0 is lost; ||x0|| >= 1 unless x0 = 0
     e = 1 - math.frexp(np.abs(x0).max())[1]
     x0 = np.ldexp(x0.real, e) + 1j * np.ldexp(x0.imag, e)
     jx_res = _norm(j.apply(x0) - x0)
-    if not rel_zero(jx_res, _norm(x0), tol):
+    if not jx_res <= tol * _norm(x0):
         raise PreconditionError(
             f"J x0 != x0 (residual {jx_res:.3e}); the criterion needs a fixed vector"
         )
@@ -265,13 +270,12 @@ def _memo_krylov_qr(
 def gram_condition_check(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> GramReport:
     """Gram determinants Gamma(x0, A x0, ..., A^n x0, (A^*)^n x0), n = 1..d-1.
 
-    All of them vanishing is the membership condition, given that J fixes
-    x0 and x0 is cyclic; both hypotheses are checked first (that J is a
-    conjugation is not; ``canonicalize`` checks it).  Gamma_n is read off
-    the QR that ``canonicalize`` takes its basis from, with x0 and A scaled
-    by powers of two, so it does not depend on the scale of either.
-    That QR is computed once per input content: ``canonicalize`` on the
-    same (a, x0, j, tol) next reuses it.
+    All of them vanishing is the membership condition, given that J is a
+    conjugation, J fixes x0 and x0 is cyclic; all three are checked first.
+    Gamma_n is read off the QR that ``canonicalize`` takes its basis from,
+    with x0 and A scaled by powers of two, so it does not depend on the
+    scale of either.  That QR is computed once per input content:
+    ``canonicalize`` on the same (a, x0, j, tol) next reuses it.
     """
     return _memo_krylov_qr(as_complex_matrix(a, "A"), as_complex_vector(x0, "x0"), j, tol)[1]
 
@@ -284,18 +288,20 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     is real and positive (the unique such factor).  The membership
     condition forces J g_r = e^{i phi_r} g_r, and the half-phase rotation
     u_r = e^{i phi_r / 2} g_r makes every basis vector J-fixed.  The matrix
-    of A in the u-basis is then extracted and verified to lie in the class.
-    Every check is judged at ``tol``.  The QR is computed once per input
-    content: right after ``gram_condition_check`` on the same (a, x0, j,
-    tol) it is reused, not recomputed.
+    m of A in the u-basis is then extracted and verified to lie in the
+    class.  Checks, in order: those of ``gram_condition_check``, J A J =
+    A^*, the Gram condition, J g_r parallel to g_r, then the class test at
+    tol * min(1, max|m|), so each is relative to the scale of its input.
+    The QR is computed once per input content: right after
+    ``gram_condition_check`` on the same (a, x0, j, tol) it is reused.
     """
     a = as_complex_matrix(a, "A")
     x0 = as_complex_vector(x0, "x0")
 
-    res = _j_residual(a, j, tol)
+    g, report = _memo_krylov_qr(a, x0, j, tol)
+    res = _j_residual(a, j)
     if res > tol:
         raise PreconditionError(f"A is not J-symmetric (relative residual {res:.3e})")
-    g, report = _memo_krylov_qr(a, x0, j, tol)
     if not report.passed:
         raise PreconditionError(
             "Gram-determinant condition fails "
@@ -319,7 +325,7 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     u = g * np.exp(0.5j * phases)
 
     m_dense = u.conj().T @ a @ u
-    ok, tri, reason = is_class_matrix(m_dense, tol)
+    ok, tri, reason = is_class_matrix(m_dense, tol * min(1.0, float(np.abs(m_dense).max())))
     if not ok:
         raise ConsistencyError(f"canonical matrix fell outside the class: {reason}")
     return CanonicalForm(basis=u, matrix=tri, phases=phases, gram=report)

@@ -53,13 +53,6 @@ def require_finite(values, where) -> None:
         raise PreconditionError("float64 range exhausted at " + where(int(finite.argmin())))
 
 
-def rel_zero(x: float, scale: float, tol: float = DEFAULT_TOL) -> bool:
-    """Relative zero test |x| <= tol * max(1, scale): powers of the circle
-    radius span many decades, so every "equals zero" decision is relative
-    to the largest magnitude entering the computation."""
-    return abs(x) <= tol * max(1.0, scale)
-
-
 @dataclass
 class TridiagonalSymmetric:
     """A complex symmetric tridiagonal matrix given by its two bands.
@@ -117,10 +110,10 @@ class ConjugationMap:
 
     def check(self, tol: float = DEFAULT_TOL) -> None:
         """Raises unless C is unitary and symmetric, each max-entry residual
-        within tol relative to max|C|."""
+        within tol * max(1, max|C|)."""
         c = self.matrix
-        # entries near the float64 limit overflow a residual to inf or nan,
-        # which is rejected like any other large residual
+        # entries near the float64 limit overflow a residual, and max|C| with
+        # it, to inf or nan, which is rejected like any other large residual
         with np.errstate(over="ignore", invalid="ignore"):
             gram = c.conj().T @ c
             gram.reshape(-1)[:: self.dim + 1] -= 1.0  # minus the identity
@@ -128,7 +121,7 @@ class ConjugationMap:
             sym = float(np.abs(c - c.T).max())
             scale = float(np.abs(c).max())
         for law, res in (("unitary", uni), ("symmetric", sym)):
-            if not (math.isfinite(res) and rel_zero(res, scale, tol)):
+            if not (math.isfinite(res) and res <= tol * max(1.0, scale)):
                 raise InputError(f"conjugation matrix is not {law} (residual {res:.3e})")
 
     @classmethod

@@ -181,10 +181,18 @@ class TestVerifyJSymmetric:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300, 1.7e308])
     def test_residual_is_relative(self, scale):
-        # the residual of A / max(1, max|A|): a Jordan block scaled up reads
-        # the same as the block, and one scaled down reads less
+        # the residual of A / max|A|: a Jordan block reads 1 at every scale
         a = scale * np.array([[0, 1], [0, 0]], dtype=complex)
-        assert verify_j_symmetric(a, ConjugationMap.standard(2)) == pytest.approx(min(1, scale))
+        assert verify_j_symmetric(a, ConjugationMap.standard(2)) == pytest.approx(1)
+
+    def test_residual_below_normal_range(self):
+        # numpy divides a complex array by a real as A * (1 / max|A|), which
+        # overflows below max|A| = 2^-1024; the zero matrix is J-symmetric
+        j = ConjugationMap.standard(2)
+        for scale in (1e-310, 5e-324):
+            a = scale * np.array([[0, 1], [0, 0]], dtype=complex)
+            assert verify_j_symmetric(a, j) == 1.0
+        assert verify_j_symmetric(np.zeros((2, 2)), j) == 0.0
 
     def test_invalid_conjugation_rejected(self):
         with pytest.raises(InputError):
@@ -316,6 +324,17 @@ class TestGramCondition:
         with pytest.raises(PreconditionError, match="not a cyclic vector"):
             gram_condition_check(shift.T, e0(3), ConjugationMap.standard(3))
 
+    @pytest.mark.parametrize("call", [gram_condition_check, canonicalize])
+    @pytest.mark.parametrize(
+        "c, law",
+        [(np.diag([1, 2, 3, 5]), "unitary"), (np.roll(np.eye(4), 1, axis=0), "symmetric")],
+    )
+    def test_conjugation_is_checked(self, call, c, law):
+        # both entry points check J, in the one Krylov pass they share
+        m = random_class_matrix(3, 4).dense()
+        with pytest.raises(InputError, match=f"not {law}"):
+            call(m, e0(4), ConjugationMap(c))
+
     def test_x0_not_fixed_by_j(self):
         with pytest.raises(PreconditionError, match="x0"):
             gram_condition_check(CHAIN2, np.array([1j, 0]), ConjugationMap.standard(2))
@@ -369,9 +388,13 @@ class TestCyclicityGuard:
         want = gram_condition_check(m, e0(4), j).gammas
         report = gram_condition_check(scale * m, e0(4), j)
         assert report.passed and np.max(np.abs(report.gammas - want)) <= 1e-12
-        # canonicalize then meets the class test's floor eps * max(1, max|entry|)
-        with pytest.raises(ConsistencyError, match="sub-diagonal entry a_0 vanishes"):
-            canonicalize(scale * m, e0(4), j)
+        # the class test of the canonical matrix is relative to its own scale,
+        # so the bands are the member's, scaled
+        want = canonicalize(m, e0(4), j).matrix
+        got = canonicalize(scale * m, e0(4), j).matrix
+        for band in ("diag", "offdiag"):
+            w = getattr(want, band)
+            assert np.max(np.abs(getattr(got, band) - scale * w)) <= 1e-12 * scale * np.max(np.abs(w))
 
 
 class TestCanonicalize:
@@ -486,6 +509,29 @@ class TestCanonicalize:
             assert np.array_equal(got.matrix.diag, c * want.matrix.diag)
             assert np.array_equal(got.matrix.offdiag, c * want.matrix.offdiag)
 
+    @pytest.mark.parametrize("d", [4, 8, 12])
+    def test_scaled_down_member_canonicalizes(self, d):
+        # the class test of the canonical matrix m is relative to max|m|, so
+        # small members pass it: a scale of 10^-p moves the bands by at most
+        # 1e-12 relative, and one of 2^-k moves no bit of the basis or phases
+        a, x0, j = self.disguised(d, d)
+        want = canonicalize(a, x0, j)
+        w_diag, w_off = want.matrix.diag, want.matrix.offdiag
+        top = max(np.max(np.abs(w_diag)), np.max(np.abs(w_off)))
+        for p in (10, 20, 100, 300):
+            c = 10.0**-p
+            got = canonicalize(c * a, x0, j).matrix
+            dev = max(np.max(np.abs(got.diag - c * w_diag)), np.max(np.abs(got.offdiag - c * w_off)))
+            assert dev <= 1e-12 * c * top
+        for k in (64, 300, 1000):
+            c = 2.0**-k
+            assert verify_j_symmetric(c * a, j) == verify_j_symmetric(a, j)
+            got = canonicalize(c * a, x0, j)
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.phases.tobytes() == want.phases.tobytes()
+            assert np.array_equal(got.matrix.diag, c * w_diag)
+            assert np.array_equal(got.matrix.offdiag, c * w_off)
+
     def test_tol_is_used(self):
         # a J-symmetry residual of 5e-9 relative lies between the tol and
         # 1e-8: rejected at tol 1e-9, accepted at 1e-8
@@ -498,9 +544,21 @@ class TestCanonicalize:
         canonicalize(m, e0(4), j, 1e-8)
 
     def test_rejects_non_j_symmetric(self):
-        a = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(PreconditionError, match="J-symmetric"):
+        # e0 is cyclic and Gamma_1 = 0 (d = 2), so only J-symmetry fails
+        a = np.array([[0, 1], [2, 0]], dtype=complex)
+        with pytest.raises(PreconditionError, match=r"^A is not J-symmetric \(relative residual 5\.000e-01\)$"):
             canonicalize(a, e0(2), ConjugationMap.standard(2))
+
+    def test_check_order(self):
+        # the Krylov pass, which checks J and cyclicity, runs before the
+        # J-symmetry test: a bad C, then a non-cyclic x0, is named first
+        a = np.array([[0, 1], [2, 0]], dtype=complex)
+        with pytest.raises(InputError, match="not unitary"):
+            canonicalize(a, e0(2), ConjugationMap(np.diag([1, 2])))
+        jordan = np.array([[0, 1], [0, 0]], dtype=complex)  # A e0 = 0, and not J-symmetric
+        assert verify_j_symmetric(jordan, ConjugationMap.standard(2)) == 1
+        with pytest.raises(PreconditionError, match="not a cyclic vector"):
+            canonicalize(jordan, e0(2), ConjugationMap.standard(2))
 
     def test_rejects_gram_violation(self):
         a = np.array([[1, 1], [0, 2]], dtype=complex)
