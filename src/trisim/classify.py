@@ -79,14 +79,14 @@ def is_class_matrix(
 
     Returns ``(ok, extracted, reason)``; ``extracted`` is None unless ok.
     Membership requires: entries more than one off the diagonal vanish
-    (relative to eps * max(1, max|entry|)), the matrix is symmetric (plain
-    transpose, not Hermitian), and every first-off-diagonal entry has
-    magnitude above the same threshold.  A ``TridiagonalSymmetric`` is
-    tridiagonal and symmetric by construction, so only the sub-diagonal
-    test runs, in O(d), and ``extracted`` is ``m`` itself.
+    (relative to eps * max|entry|, read as 2^-1022 for a subnormal dense m),
+    the matrix is symmetric (plain transpose, not Hermitian), and every
+    first-off-diagonal entry has magnitude above the same threshold, so c m
+    is judged as m is.  A ``TridiagonalSymmetric`` is tridiagonal and
+    symmetric by construction, so only the sub-diagonal test runs, in O(d).
     """
     if isinstance(m, TridiagonalSymmetric):
-        scale = max(1.0, float(np.abs(m.diag).max()), float(np.abs(m.offdiag).max()))
+        scale = max(float(np.abs(m.diag).max()), float(np.abs(m.offdiag).max()))
         reason = _vanishing_subdiagonal(m.offdiag, eps * scale)
         if reason is not None:
             return False, None, reason
@@ -96,7 +96,7 @@ def is_class_matrix(
     d = a.shape[0]
     if d < 2:
         raise InputError("dimension must be at least 2")
-    scale = max(1.0, float(np.abs(a).max()))
+    scale = max(float(np.abs(a).max()), 2.0**-1022)  # 1 / scale stays finite
     unit = a / scale  # no difference of entries near the float64 limit overflows
 
     # the largest |entry| off the band: in a C-ordered d x d array the main,
@@ -290,8 +290,8 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     u_r = e^{i phi_r / 2} g_r makes every basis vector J-fixed.  The matrix
     m of A in the u-basis is then extracted and verified to lie in the
     class.  Checks, in order: those of ``gram_condition_check``, J A J =
-    A^*, the Gram condition, J g_r parallel to g_r, then the class test at
-    tol * min(1, max|m|), so each is relative to the scale of its input.
+    A^*, the Gram condition, J g_r parallel to g_r, then the class test of
+    m, so each is relative to the scale of its input.
     The QR is computed once per input content: right after
     ``gram_condition_check`` on the same (a, x0, j, tol) it is reused.
     """
@@ -325,7 +325,7 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     u = g * np.exp(0.5j * phases)
 
     m_dense = u.conj().T @ a @ u
-    ok, tri, reason = is_class_matrix(m_dense, tol * min(1.0, float(np.abs(m_dense).max())))
+    ok, tri, reason = is_class_matrix(m_dense, tol)
     if not ok:
         raise ConsistencyError(f"canonical matrix fell outside the class: {reason}")
     return CanonicalForm(basis=u, matrix=tri, phases=phases, gram=report)

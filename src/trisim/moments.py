@@ -63,7 +63,7 @@ class MomentSequence:
             want = reprlib.repr(self.rho + 1)
             raise InputError(f"expected {want} moments, got {len(self.values)}")
         s0 = self.values[0]
-        if abs(s0.imag) > 1e-12 * max(1.0, abs(s0)) or s0.real <= 0:
+        if abs(s0.imag) > 1e-12 * abs(s0) or s0.real <= 0:
             raise InputError("s_0 must be real and strictly positive")
 
     @property
@@ -352,12 +352,12 @@ def algorithm1(
 def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
     """Relative residual |sum m z^k - s_k| for each prescribed moment.
 
-    Both the atom sum and s_k are divided by max(1, |s_k|, max|z|^k *
-    total mass), the largest magnitude entering the atom sum, before they
-    are subtracted; max|z|^k spans many decades over k, so an absolute
-    residual would be meaningless at high orders.  Each quotient is at most
-    about 1, so the difference cannot overflow.  Raises
-    ``PreconditionError`` when max|z|^k * total mass overflows float64.
+    Both the atom sum and s_k are divided by max(|s_k|, max|z|^k * total
+    mass), the largest magnitude entering the atom sum, before they are
+    subtracted, so no order and no scale of the moments is judged
+    absolutely.  Each quotient is at most about 1, so the difference cannot
+    overflow; the bound is 0 only at s_k = 0 with every atom at 0, where
+    the residual is 0.  Raises ``PreconditionError`` when it overflows.
     """
     zmax = np.abs(mu.atoms).max()  # np.float64, so zmax**k overflows to inf
     mass = mu.total_mass
@@ -365,7 +365,7 @@ def verify_measure(mu: AtomicMeasure, seq: MomentSequence) -> np.ndarray:
         bounds = [zmax**k * mass for k in range(seq.rho + 1)]
     require_finite(bounds, lambda k: f"moment order {k}: max|z| {zmax:.6g} to the power "
                    f"{k} times total mass {mass:.6g} overflows")
-    scales = [max(1.0, abs(target), bound) for target, bound in zip(seq.values, bounds)]
+    scales = [max(abs(target), bound) or 1.0 for target, bound in zip(seq.values, bounds)]
     return np.array([
         abs(mu.moment(k) / scale - target / scale)
         for k, (target, scale) in enumerate(zip(seq.values, scales))

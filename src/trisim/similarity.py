@@ -61,21 +61,21 @@ class PolynomialFamily:
 
 
 def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
-    """The recurrence polynomials up to degree n_max, read off the extended
-    matrix, or off ``m`` itself when it already has n_max + 1 rows."""
+    """The recurrence polynomials up to degree n_max, read off the extended matrix,
+    or off ``m`` when it has n_max + 1 rows; only an exact zero a_k is refused."""
     if n_max < 0:
         raise InputError("n_max must be non-negative")
     ext = m if m.dim > n_max else extend_matrix(m, n_max + 1)
-    small = (np.abs(ext.offdiag[:n_max]) < 1e-14).nonzero()[0]
-    if len(small):
-        raise InputError(f"cannot divide by a_{small[0]} = 0 in the recurrence")
+    zero = (ext.offdiag[:n_max] == 0).nonzero()[0]
+    if len(zero):
+        raise InputError(f"cannot divide by a_{zero[0]} = 0 in the recurrence")
     return PolynomialFamily(ext, n_max)
 
 
 def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.ndarray:
     """Values p_n(z_j) for n = 0..n_max by the three-term recurrence.
 
-    ``ext`` is the matrix extended to at least n_max + 1 rows.
+    ``ext`` has at least n_max + 1 rows; an overflow stays inf for ``require_finite``.
     """
     z = np.asarray(z, dtype=np.complex128)
     if not 0 <= n_max < ext.dim:
@@ -85,14 +85,15 @@ def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.
     # row n + 1 starts as z - b_n and is finished in place, in the order of
     # ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n, so no degree allocates
     np.subtract(z, ext.diag[:n_max, None], out=vals[1:])
-    if n_max >= 1:
-        vals[1] /= ext.offdiag[0]
     scratch = np.empty_like(z)
-    for n in range(1, n_max):
-        row = vals[n + 1]
-        row *= vals[n]
-        row -= np.multiply(ext.offdiag[n - 1], vals[n - 1], out=scratch)
-        row /= ext.offdiag[n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_max >= 1:
+            vals[1] /= ext.offdiag[0]
+        for n in range(1, n_max):
+            row = vals[n + 1]
+            row *= vals[n]
+            row -= np.multiply(ext.offdiag[n - 1], vals[n - 1], out=scratch)
+            row /= ext.offdiag[n]
     return vals
 
 

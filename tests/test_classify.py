@@ -82,25 +82,43 @@ class TestIsClassMatrix:
         weak = random_class_matrix(7, 5)
         weak.offdiag[1] = 1e-12
         cases.append(weak)
-        # at eps 0.4 the threshold is 0.4 to 0.8, so some of the random
-        # |a_k| in [0.5, 2] vanish and some do not
-        for m, eps in itertools.product(cases, [1e-9, 0.4]):
+        # at eps 0.4 the threshold is 0.4 to 0.8 of max|entry|, so some of
+        # the random |a_k| in [0.5, 2] vanish and some do not; both branches
+        # judge c m as m at every normal scale, and at a subnormal one while
+        # eps * 2^-1022 stays below every |a_k| but weak's
+        grid = [(1.0, 1e-9), (1.0, 0.4)]
+        grid += [(c, eps) for c in (1e150, 1e-150, 1e-300) for eps in (1e-9, 0.4)]
+        grid.append((1e-310, 1e-9))
+        for (c, eps), base in itertools.product(grid, cases):
+            m = base if c == 1.0 else TridiagonalSymmetric(c * base.diag, c * base.offdiag)
             ok, tri, reason = is_class_matrix(m, eps)
             ok_dense, tri_dense, reason_dense = is_class_matrix(m.dense(), eps)
             assert (ok, reason) == (ok_dense, reason_dense)
+            ok_base, _, reason_base = is_class_matrix(base, eps)
+            assert (ok, reason.split(" (")[0]) == (ok_base, reason_base.split(" (")[0])
             if ok:
                 assert tri is m
                 assert np.array_equal(tri_dense.diag, m.diag)
-                assert np.array_equal(tri_dense.offdiag, m.offdiag)
+                # the dense branch halves both off-diagonals, which rounds
+                # the last bit of a subnormal entry
+                ulp = 2.0**-1074 if c < 1e-300 else 0.0
+                assert np.abs((tri_dense.offdiag - m.offdiag).view(float)).max() <= ulp
             else:
                 assert tri is None and tri_dense is None
         assert "a_1 vanishes" in is_class_matrix(weak)[2]
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["banded", "dense"])
+    def test_zero_matrix_has_a_vanishing_a_0(self, dense):
+        m = TridiagonalSymmetric(np.zeros(3), np.zeros(2))
+        ok, tri, reason = is_class_matrix(m.dense() if dense else m)
+        assert (ok, tri, reason) == (False, None, "sub-diagonal entry a_0 vanishes (|a_0| = 0.000e+00)")
+
     @staticmethod
     def reference_dense(m, eps):
-        """The dense branch as it read with np.triu / np.tril masks."""
+        """The dense branch as it read with np.triu / np.tril masks, judged
+        at max|A| itself, read as 2^-1022 below the normal range."""
         a = np.asarray(m, dtype=complex)
-        scale = max(1.0, float(np.abs(a).max()))
+        scale = max(float(np.abs(a).max()), 2.0**-1022)
         unit = a / scale
         off_band = float(np.abs(np.triu(unit, 2) + np.tril(unit, -2)).max())
         if off_band > eps:
@@ -165,6 +183,10 @@ class TestIsClassMatrix:
         # every verdict occurs, so each branch was compared
         assert {"ok", "not tridiagonal", "not complex symmetric"} <= set(outcomes)
         assert any(r.startswith("sub-diagonal entry") for r in outcomes)
+        # a member is one at every scale, 1e-150 too
+        for seed, c in itertools.product(range(24), (1.0, 1e150, 1e-150)):
+            m = random_class_matrix(2700 + seed, 2 + seed % 11).dense()
+            assert is_class_matrix(c * m)[::2] == (True, "ok")
 
 
 class TestVerifyJSymmetric:

@@ -317,6 +317,11 @@ class TestSolve:
         rows = [[float(x) for x in line.split(",")] for line in csv[1:]]
         assert rows == [[*atom["z"], atom["mass"]] for atom in measure["atoms"]]
 
+    def test_complex_s0_is_judged_at_its_own_scale(self, tmp_path, capsys):
+        inp = write(tmp_path, "m.json", {"rho": 2, "s": [[1e-20, 1e-25], [0, 0], [0, 0]]})
+        assert main(["solve", "--input", inp]) == 2
+        assert "s_0 must be real" in capsys.readouterr().err
+
     def test_single_moment_rejected(self, tmp_path):
         inp = write(tmp_path, "m.json", {"s": [[1, 0]]})
         assert main(["solve", "--input", inp]) == 2
@@ -530,6 +535,37 @@ class TestSimilarityCommand:
         assert "precision exhausted at scale 1e392 (circle radius 5.82, order 513)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "scale, code, message",
+        [
+            (1e-3, 0, ""),
+            (1e-9, 0, ""),
+            (1e-12, 0, ""),
+            (1e-20, 0, ""),
+            (1e-50, 3, "precision exhausted at scale 1e-841 "),
+            (1e-100, 3, "precision exhausted at scale 1e-1692 "),
+            (1e-300, 3, "float64 range exhausted at polynomial degree 1: "),
+            (1e-310, 3, "float64 range exhausted at polynomial degree 1: "),
+        ],
+    )
+    def test_scaled_member(self, tmp_path, capsys, scale, code, message):
+        # c A is a class matrix whenever A is: classify and moments pass it at
+        # every scale, and similarity verifies it down to 1e-20; deeper, it
+        # exits 3 with one stderr line naming the scale or degree float64 lost
+        m = random_class_matrix(3, 8)
+        op = io.operator_to_json(TridiagonalSymmetric(scale * m.diag, scale * m.offdiag))
+        inp = write(tmp_path, "op.json", op)
+        assert main(["classify", "--input", inp]) == 0
+        assert json.loads(capsys.readouterr().out)["class_matrix"] is True
+        assert main(["moments", "--input", inp]) == 0
+        capsys.readouterr()
+        assert main(["similarity", "--input", inp]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["passed"] is True and err == ""
+        else:
+            assert len(err.splitlines()) == 1 and message in err
+
 
 class TestTolFlag:
     @pytest.mark.parametrize("tol", ["-1", "nan"])
@@ -606,6 +642,23 @@ class TestVerifyCommand:
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["max_residual"] == pytest.approx(2.0)
         assert proc.stderr == ""
+
+    def test_wrong_measure_with_small_moments_fails(self, tmp_path, capsys):
+        # one atom at 5 with mass 7c against s = c (1, 1 + i, 3i) misses every
+        # moment by 86% or more, at any c: the residuals have no floor at 1
+        reports = {}
+        for c in (1.0, 1e-20, 2.0**-66, 2.0**-1000):
+            doc = {
+                "measure": {"atoms": [{"z": [5, 0], "mass": 7 * c}]},
+                "moments": {"rho": 2, "s": [[c, 0], [c, c], [0, 3 * c]]},
+            }
+            assert main(["verify", "--input", write(tmp_path, "v.json", doc)]) == 1
+            reports[c] = json.loads(capsys.readouterr().out)
+        assert reports[1.0]["max_residual"] == pytest.approx(1.0001, abs=1e-4)
+        assert min(reports[1.0]["residuals"]) >= 0.857
+        assert reports[1e-20]["residuals"] == pytest.approx(reports[1.0]["residuals"], rel=1e-14)
+        # a power of two scales every term exactly
+        assert reports[2.0**-66] == reports[1.0] == reports[2.0**-1000]
 
     @pytest.mark.parametrize(
         "z, mass, order",

@@ -507,7 +507,8 @@ class TestVerifyMeasure:
         # pinned bit for bit: numpy's array ** and complex abs differ from the
         # scalar ones in the last bit, so a vectorized residual fails here.
         # Both terms are divided by the bound before the subtraction, so no
-        # difference can overflow.
+        # difference can overflow; the bound has no floor at 1, and is 0
+        # only at s_k = 0 with every atom at 0, where the residual is 0.
         cases = []
         for seed in range(40):
             seq = spectral_moments(random_class_matrix(seed, 2 + seed), 2 * seed + 5)
@@ -519,11 +520,15 @@ class TestVerifyMeasure:
             s = rng.standard_normal(rho + 1) + 1j * rng.standard_normal(rho + 1)
             s[0] = rng.uniform(0.1, 10)
             cases.append((AtomicMeasure(atoms, rng.uniform(0.01, 5, n)), MomentSequence(rho, s)))
+        for c in (1e-20, 1e-200):  # moments and masses far below 1
+            cases += [(AtomicMeasure(mu.atoms, c * mu.masses), MomentSequence(seq.rho, c * seq.values))
+                      for mu, seq in cases[:40:7]]
+        cases += [(AtomicMeasure(np.zeros(1), [2.0]), MomentSequence(2, [2, 0, s_2])) for s_2 in (0, 1e-30)]
         for mu, seq in cases:
             zmax, mass = float(np.max(np.abs(mu.atoms))), mu.total_mass
             want = []
             for k, s_k in enumerate(seq.values):
-                scale = max(1.0, abs(s_k), zmax**k * mass)
+                scale = max(abs(s_k), zmax**k * mass) or 1.0
                 want.append(abs(mu.moment(k) / scale - s_k / scale))
             assert np.array_equal(verify_measure(mu, seq), want)
 
@@ -536,6 +541,11 @@ class TestMomentSequence:
     def test_rejects_complex_s0(self):
         with pytest.raises(InputError):
             MomentSequence(1, np.array([1 + 1j, 0]))
+
+    def test_imaginary_part_of_s0_is_judged_at_its_scale(self):
+        with pytest.raises(InputError, match="s_0 must be real"):
+            MomentSequence(1, np.array([1e-20 + 1e-25j, 0]))
+        MomentSequence(1, np.array([1e-20 + 1e-33j, 0]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(InputError):
