@@ -120,7 +120,9 @@ def is_class_matrix(
     if reason is not None:
         return False, None, reason
 
-    sym_off = 0.5 * sub + 0.5 * a.diagonal(-1)
+    # exact for an exactly symmetric input, subnormal entries too; the
+    # symmetry test bounds super - sub, so nothing here can overflow
+    sym_off = sub + 0.5 * (a.diagonal(-1) - sub)
     return True, TridiagonalSymmetric(a.diagonal().copy(), sym_off), "ok"
 
 

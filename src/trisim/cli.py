@@ -74,8 +74,8 @@ def _load_operator(args) -> tuple[dict, object]:
     return obj, io.operator_from_json(obj)
 
 
-def _require_class(op) -> TridiagonalSymmetric:
-    ok, tri, reason = is_class_matrix(op)
+def _require_class(op, tol: float) -> TridiagonalSymmetric:
+    ok, tri, reason = is_class_matrix(op, tol)
     if not ok:
         raise PreconditionError(reason)
     return tri
@@ -139,7 +139,7 @@ def cmd_canonicalize(args) -> int:
 
 def cmd_moments(args) -> int:
     _, op = _load_operator(args)
-    tri = _require_class(op)
+    tri = _require_class(op, DEFAULT_TOL)  # moments has no --tol
     rho = args.rho if args.rho is not None else 2 * tri.dim + 1
     if args.rho is not None and args.rho <= 2 * tri.dim:
         raise InputError(f"rho must exceed 2d = {2 * tri.dim}")
@@ -160,7 +160,7 @@ def cmd_solve(args) -> int:
 
 def cmd_similarity(args) -> int:
     _, op = _load_operator(args)
-    tri = _require_class(op)
+    tri = _require_class(op, args.tol)
     data = build_transform(tri, rho=args.rho, schedule=_schedule(args))
     report = verify_similarity(tri, data, args.tol)
     failures = report.failures

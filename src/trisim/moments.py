@@ -33,7 +33,6 @@ from .core import (
     as_complex_vector,
     require_finite,
 )
-from .classify import is_class_matrix
 
 # Margin keeping sum |ct_n| <= 1/2 - MASS_DELTA, which floors every circle
 # mass at 2 * MASS_DELTA * s0 / N.
@@ -94,12 +93,15 @@ def spectral_moments(
     give s_{2j} = v_j^T v_j and s_{2j+1} = v_j^T v_{j+1}.  v_j lives on
     rows 0..j, so only rows 0..h of T are built and read: ``trunc`` is
     validated (at least rho + 2) and otherwise cannot change the result.
-    Raises ``PreconditionError`` when the (h+1)-by-(h+1) table of the v_j
-    cannot be allocated or some s_k overflows float64.
+    Only an exact zero a_k is refused, as in ``build_polynomials``; whether
+    a small a_k counts as zero is the caller's judgement, made by
+    ``is_class_matrix`` at the caller's tol.  Raises ``PreconditionError``
+    when the (h+1)-by-(h+1) table of the v_j cannot be allocated or some
+    s_k overflows float64.
     """
-    ok, _, reason = is_class_matrix(m)
-    if not ok:
-        raise InputError(f"not a class matrix: {reason}")
+    zero = (m.offdiag == 0).nonzero()[0]
+    if len(zero):
+        raise InputError(f"not a class matrix: a_{zero[0]} = 0")
     if rho < 1:
         raise InputError("rho must be at least 1")
     if trunc is not None and trunc < rho + 2:

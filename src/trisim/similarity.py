@@ -182,8 +182,10 @@ def build_transform(
 
     Spectral moments up to rho (default 2d+1), the atomic measure of
     ``algorithm1`` (one atom and one circle), and the polynomial family up
-    to degree d.  Class membership is checked by ``spectral_moments``; the
-    bilinear orthonormality and the rank of the node matrix are judged by
+    to degree d.  The class is not judged here: only an exact zero a_k is
+    refused, so a caller who wants the tol-based verdict runs
+    ``is_class_matrix(m, tol)`` first, as the CLI does.  The numbers, the
+    bilinear orthonormality and the rank of the node matrix, are judged by
     ``verify_similarity``.
     """
     d = m.dim
@@ -264,6 +266,17 @@ class SimilarityReport:
         return not self.failures
 
 
+def _residual_scale_overflow(data: SimilarityData, n: int) -> str:
+    """What left float64 when the residual scale of degree n is not finite:
+    the recurrence's quotient p_n when it is not finite, else the scale."""
+    p_n = data.poly_at_atoms[n]
+    if np.isfinite(p_n).all():
+        return f"the residual scale overflows at max|p_{n}| = {np.abs(p_n).max():.3g}"
+    top = f"(z - b_{n - 1})" if n == 1 else f"((z - b_{n - 1}) p_{n - 1} - a_{n - 2} p_{n - 2})"
+    a = abs(data.polys.ext.offdiag[n - 1])
+    return f"p_{n} = {top} / a_{n - 1} is not finite (|a_{n - 1}| = {a:.3g})"
+
+
 def verify_similarity(
     m: TridiagonalSymmetric, data: SimilarityData, tol: float = ORTHONORMALITY_TOL
 ) -> SimilarityReport:
@@ -281,7 +294,8 @@ def verify_similarity(
     T numerically invertible when it exceeds ``INVERTIBILITY_FLOOR``: the
     columns p_k, scaled to unit norm in L^2 of the measure, are that far
     from linear dependence.
-    Raises ``PreconditionError`` at the first degree whose scale overflows.
+    Raises ``PreconditionError`` at the first degree whose scale overflows,
+    naming the quotient p_n instead when p_n itself left float64.
     """
     d = data.dim
     if m.dim != d:
@@ -292,8 +306,7 @@ def verify_similarity(
         diff = data.measure.atoms * p[:d]
         diff[d - 1] -= data.rank_one_scale * p[d]
         denom = np.sqrt((diff.real**2 + diff.imag**2) @ w)
-    require_finite(denom, lambda n: f"polynomial degree {n}: the residual scale overflows "
-                   f"at max|p_{n}| = {np.abs(p[n]).max():.3g}")
+    require_finite(denom, lambda n: f"polynomial degree {n}: {_residual_scale_overflow(data, n)}")
     orth = float(orthonormality_residuals(p, data.measure, d).max())
     sigma_min = check_invertible(data)
     # the left side is subtracted term by term, so that at most two complex

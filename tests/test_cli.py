@@ -565,6 +565,12 @@ class TestSimilarityCommand:
             assert json.loads(out)["passed"] is True and err == ""
         else:
             assert len(err.splitlines()) == 1 and message in err
+        # at 1e-300 p_1 is finite and its residual scale overflows; at
+        # 1e-310 the quotient p_1 itself leaves float64, and is named
+        if scale == 1e-300:
+            assert err.endswith("the residual scale overflows at max|p_1| = 8.72e+299\n")
+        if scale == 1e-310:
+            assert err.endswith("p_1 = (z - b_0) / a_0 is not finite (|a_0| = 1.15e-310)\n")
 
 
 class TestTolFlag:
@@ -593,6 +599,47 @@ class TestTolFlag:
 
     def test_zero_tol_is_accepted(self, tmp_path, capsys):
         assert main(["classify", "--input", chain_file(tmp_path), "--tol", "0"]) == 0
+
+    @staticmethod
+    def verdicts(capsys, argv):
+        """Exit code, JSON output (None if empty) and stderr of one call."""
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, json.loads(out) if out else None, err
+
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-9"])
+    def test_one_class_verdict_at_the_callers_tol(self, tmp_path, capsys, tol):
+        # |a_1| = 3e-10 is a member at 1e-12 and vanishes at 1e-9: classify
+        # and similarity judge it once, at the --tol they were given
+        op = TridiagonalSymmetric([0.1, 0.2, 0.3], [1, 3e-10])
+        inp = write(tmp_path, "op.json", io.operator_to_json(op))
+        code, cls, _ = self.verdicts(capsys, ["classify", "--input", inp, "--tol", tol])
+        sim_code, sim, err = self.verdicts(capsys, ["similarity", "--input", inp, "--tol", tol])
+        if tol == "1e-12":
+            assert (code, cls["class_matrix"], cls["reason"]) == (0, True, "ok")
+            assert sim_code == 0 and sim["passed"] is True and err == ""
+            assert sim["max_residual"] <= 1e-15 and sim["node_matrix_sigma_min"] >= 0.9
+        else:
+            reason = "sub-diagonal entry a_1 vanishes (|a_1| = 3.000e-10)"
+            assert (code, cls["class_matrix"], cls["reason"]) == (1, False, reason)
+            assert (sim_code, sim, err) == (3, None, f"precondition violated: {reason}\n")
+            # moments has no --tol: it judges at DEFAULT_TOL, 1e-9
+            assert self.verdicts(capsys, ["moments", "--input", inp]) == (3, None, err)
+
+    def test_similarity_default_tol_gates_the_class(self, tmp_path, capsys):
+        # |a_1| = 5e-9 vanishes at similarity's default tol, 1e-8, as
+        # classify --tol 1e-8 says, and is a member at 1e-9
+        op = TridiagonalSymmetric([0.1, 0.2, 0.3, -0.4 + 0.1j], [1, 5e-9, 0.7 + 0.2j])
+        inp = write(tmp_path, "op.json", io.operator_to_json(op))
+        reason = "sub-diagonal entry a_1 vanishes (|a_1| = 5.000e-09)"
+        assert ORTHONORMALITY_TOL == 1e-8
+        code, cls, _ = self.verdicts(capsys, ["classify", "--input", inp, "--tol", "1e-8"])
+        assert (code, cls["class_matrix"], cls["reason"]) == (1, False, reason)
+        assert self.verdicts(capsys, ["similarity", "--input", inp]) == (
+            3, None, f"precondition violated: {reason}\n"
+        )
+        code, sim, err = self.verdicts(capsys, ["similarity", "--input", inp, "--tol", "1e-9"])
+        assert code == 0 and sim["passed"] is True and err == ""
 
 
 class TestVerifyCommand:

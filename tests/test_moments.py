@@ -134,6 +134,20 @@ class TestSpectralMoments:
         with pytest.raises(InputError):
             spectral_moments(TridiagonalSymmetric([1, 2], [0]), 3)
 
+    def test_only_an_exact_zero_a_k_is_refused(self):
+        # the tol-based class test is the caller's: a library caller may pass
+        # |a_1| = 3e-10, which is_class_matrix refuses at its default tol
+        m = TridiagonalSymmetric([0.1, 0.2, 0.3], [1, 3e-10])
+        got = spectral_moments(m, 7).values
+        want = dense_power_oracle(m, 7, 9)
+        assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) < 1e-15
+        data = build_transform(m)
+        assert verify_similarity(m, data, 1e-12).passed
+        zero = TridiagonalSymmetric([0.1, 0.2, 0.3], [1, 0])
+        for build in (lambda: spectral_moments(zero, 7), lambda: build_transform(zero)):
+            with pytest.raises(InputError, match="not a class matrix: a_1 = 0"):
+                build()
+
 
 class TestSolveRho1:
     def test_zero_first_moment(self):

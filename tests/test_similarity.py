@@ -545,6 +545,23 @@ class TestOverflowingScales:
         ):
             verify_similarity(m, data)
 
+    @pytest.mark.parametrize(
+        "k, quotient",
+        [(0, r"p_1 = \(z - b_0\) / a_0"), (5, r"p_6 = \(\(z - b_5\) p_5 - a_4 p_4\) / a_5")],
+        ids=["a_0", "a_5"],
+    )
+    def test_verify_similarity_names_the_quotient_that_left_float64(self, k, quotient):
+        # dividing by |a_k| = 1e-310 sends p_{k+1} itself past float64
+        m = random_class_matrix(3, 8)
+        offdiag = m.offdiag.copy()
+        offdiag[k] = 1e-310
+        m = TridiagonalSymmetric(m.diag, offdiag)
+        with pytest.raises(PreconditionError, match=(
+            f"^float64 range exhausted at polynomial degree {k + 1}: "
+            f"{quotient} is not finite \\(\\|a_{k}\\| = 1e-310\\)$"
+        )):
+            verify_similarity(m, build_transform(m))
+
     def test_orthonormality_residuals_names_the_degree(self):
         data = build_transform(self.decayed(0.01))
         # the first entries to overflow, (117, 119) and (118, 119), pair
