@@ -145,6 +145,39 @@ class SimilarityData:
             raise InputError(f"poly_at_atoms must be (dim + 1)-by-n_atoms, {want}, got {got}")
 
 
+def _node_matrix(poly_at_atoms: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """V = sqrt(m_j) p_k(z_j): the weighted values that every check reads."""
+    return poly_at_atoms * np.sqrt(masses)
+
+
+def _gram_residuals(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|V V^T - I| relative to max(1, |V| |V|^T), each Gram one BLAS syrk
+    that is exactly symmetric; raises ``PreconditionError`` at the first
+    degree whose scale overflows, naming max|p_n|."""
+    av = np.abs(v)
+    gram, scales = v @ v.T, av @ av.T
+    # by Cauchy-Schwarz, entry (i, j) overflows only if (i, i) or (j, j) does
+    require_finite(scales.diagonal(), lambda n: f"polynomial degree {n}: a Gram scale "
+                   f"overflows at max|p_{n}| = {np.abs(p[n]).max():.3g}")
+    return np.abs(gram - np.eye(len(v))) / np.maximum(1.0, scales)
+
+
+def _sigma_min(q: np.ndarray) -> float:
+    """Equilibrated sigma_min of the d-by-n_atoms node matrix ``q``, read off
+    its Hermitian Gram, or by SVD below ``_GRAM_CUT``."""
+    if q.shape[1] < len(q):
+        raise InputError("fewer atoms than the dimension; node matrix cannot have full rank")
+    h = q.conj() @ q.T
+    norms = h.diagonal().real
+    if not norms.min() > 0:
+        return 0.0  # a column vanishes at every atom
+    s = 1 / np.sqrt(norms)
+    sigma = max(float(np.linalg.eigvalsh(s[:, None] * h * s)[0]), 0.0) ** 0.5
+    if sigma >= _GRAM_CUT:
+        return sigma
+    return float(np.linalg.svd(q.T * s, compute_uv=False)[-1])
+
+
 def orthonormality_residuals(
     poly_at_atoms: np.ndarray, mu: AtomicMeasure, n_max: int
 ) -> np.ndarray:
@@ -153,9 +186,8 @@ def orthonormality_residuals(
     Entry (m, n) is |sum_j w_j p_n p_m - delta| divided by the largest
     magnitude entering that sum, sum_j w_j |p_n| |p_m|; the values at the
     circle atoms span many decades, so the zero test must be relative.
-    Both sums are Grams of V = p sqrt(w), V V^T and |V| |V|^T, each one
-    BLAS syrk that is exactly symmetric.  Raises ``PreconditionError``
-    naming the first degree whose scale overflows.
+    Both sums are Grams of V = p sqrt(w), V V^T and |V| |V|^T.  Raises
+    ``PreconditionError`` naming the first degree whose scale overflows.
     """
     p = np.asarray(poly_at_atoms, dtype=np.complex128)
     if p.ndim != 2 or p.shape[1] != mu.n_atoms:
@@ -164,13 +196,7 @@ def orthonormality_residuals(
         raise InputError(f"n_max must lie in 0..{len(p) - 1}, the degrees the values hold")
     p = p[: n_max + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        v = p * np.sqrt(mu.masses)
-        av = np.abs(v)
-        gram, scales = v @ v.T, av @ av.T
-    # by Cauchy-Schwarz, entry (i, j) overflows only if (i, i) or (j, j) does
-    require_finite(scales.diagonal(), lambda n: f"polynomial degree {n}: a Gram scale "
-                   f"overflows at max|p_{n}| = {np.abs(p[n]).max():.3g}")
-    return np.abs(gram - np.eye(n_max + 1)) / np.maximum(1.0, scales)
+        return _gram_residuals(_node_matrix(p, mu.masses), p)
 
 
 def build_transform(
@@ -200,7 +226,7 @@ def build_transform(
     ext = extend_matrix(m, d + 1)
     return SimilarityData(
         measure=mu,
-        polys=build_polynomials(ext, d),
+        polys=PolynomialFamily(ext, d),  # spectral_moments refused an exact zero a_k
         dim=d,
         rank_one_scale=complex(ext.offdiag[d - 1]),
         poly_at_atoms=eval_recurrence(ext, d, mu.atoms),
@@ -220,19 +246,7 @@ def check_invertible(data: SimilarityData) -> float:
     which resolves it to about sqrt(d) eps; ``SimilarityReport`` compares
     it with ``INVERTIBILITY_FLOOR``.
     """
-    q = data.poly_at_atoms[: data.dim]
-    if q.shape[1] < data.dim:
-        raise InputError("fewer atoms than the dimension; node matrix cannot have full rank")
-    h = (q.conj() * data.measure.masses) @ q.T
-    norms = h.diagonal().real
-    if not norms.min() > 0:
-        return 0.0  # a column vanishes at every atom
-    s = 1 / np.sqrt(norms)
-    sigma = max(float(np.linalg.eigvalsh(s[:, None] * h * s)[0]), 0.0) ** 0.5
-    if sigma >= _GRAM_CUT:
-        return sigma
-    v = np.sqrt(data.measure.masses)[:, None] * q.T * s
-    return float(np.linalg.svd(v, compute_uv=False)[-1])
+    return _sigma_min(_node_matrix(data.poly_at_atoms[: data.dim], data.measure.masses))
 
 
 @dataclass
@@ -264,6 +278,12 @@ class SimilarityReport:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a complex array, without a temporary."""
+    f = x.view(np.float64)
+    return np.sqrt(np.vecdot(f, f))
 
 
 def _residual_scale_overflow(data: SimilarityData, n: int) -> str:
@@ -301,21 +321,22 @@ def verify_similarity(
     if m.dim != d:
         raise InputError(f"matrix has dimension {m.dim}, the transform {d}")
     p = data.poly_at_atoms
-    w = data.measure.masses
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = data.measure.atoms * p[:d]
-        diff[d - 1] -= data.rank_one_scale * p[d]
-        denom = np.sqrt((diff.real**2 + diff.imag**2) @ w)
-    require_finite(denom, lambda n: f"polynomial degree {n}: {_residual_scale_overflow(data, n)}")
-    orth = float(orthonormality_residuals(p, data.measure, d).max())
-    sigma_min = check_invertible(data)
-    # the left side is subtracted term by term, so that at most two complex
-    # d-by-n_atoms arrays are alive at once, diff and one product; each
-    # weighted norm adds three real ones, two squares and their sum, and
-    # reduces them with one gemv against the masses
-    diff -= m.diag[:, None] * p[:d]
-    diff[1:] -= m.offdiag[:, None] * p[: d - 1]
-    diff[:-1] -= m.offdiag[:, None] * p[1:d]
-    num = np.sqrt((diff.real**2 + diff.imag**2) @ w)
-    res = num / np.where(denom > 0, denom, 1.0)
+        v = _node_matrix(p, data.measure.masses)
+        # the weights are inside V, so each row's weighted norm is the sum of
+        # squares of its float64 view; the left side is subtracted term by
+        # term through one scratch array, so V, diff and that array are the
+        # only node-sized arrays alive, and the Grams come after diff is gone
+        diff = data.measure.atoms * v[:d]
+        diff[d - 1] -= data.rank_one_scale * v[d]
+        denom = _row_norms(diff)
+        require_finite(denom, lambda n: f"polynomial degree {n}: {_residual_scale_overflow(data, n)}")
+        term = np.multiply(m.diag[:, None], v[:d])
+        diff -= term
+        diff[1:] -= np.multiply(m.offdiag[:, None], v[: d - 1], out=term[1:])
+        diff[:-1] -= np.multiply(m.offdiag[:, None], v[1:d], out=term[1:])
+        res = _row_norms(diff) / np.where(denom > 0, denom, 1.0)
+        del diff, term
+        orth = float(_gram_residuals(v, p).max())
+        sigma_min = _sigma_min(v[:d])
     return SimilarityReport(residuals=res, orthonormality=orth, sigma_min=sigma_min, tol=tol)

@@ -273,6 +273,8 @@ class TestVerifySimilarity:
         assert not verify_similarity(CHAIN2, corrupted).passed
 
     def test_each_check_runs_once(self, monkeypatch):
+        # one node matrix V, read by the banded residual, by the Gram pair
+        # and by sigma_min; a check run twice, or not at all, moves a count
         calls = []
 
         def counted(name):
@@ -284,12 +286,25 @@ class TestVerifySimilarity:
 
             monkeypatch.setattr(similarity, name, wrapper)
 
-        counted("orthonormality_residuals")
-        counted("check_invertible")
+        for name in ("_node_matrix", "_gram_residuals", "_sigma_min",
+                     "orthonormality_residuals", "check_invertible"):
+            counted(name)
         m = random_class_matrix(34, 4)
         report = verify_similarity(m, build_transform(m))
         assert report.passed
-        assert sorted(calls) == ["check_invertible", "orthonormality_residuals"]
+        assert sorted(calls) == ["_gram_residuals", "_node_matrix", "_sigma_min"]
+
+    @pytest.mark.parametrize("d", [4, 8, 32, 48])
+    def test_checks_equal_the_standalone_functions(self, d):
+        # verify_similarity and the two public functions share their kernels
+        # and the node matrix, so they agree bit for bit
+        for seed in range(5):
+            m = random_class_matrix(seed, d)
+            data = build_transform(m)
+            report = verify_similarity(m, data)
+            orth = orthonormality_residuals(data.poly_at_atoms, data.measure, d).max()
+            assert report.orthonormality == orth
+            assert report.sigma_min == check_invertible(data)
 
     def test_extends_once_outside_spectral_moments(self, monkeypatch):
         # spectral_moments extends to the h + 1 = d + 2 rows it reads (rho =
@@ -535,7 +550,9 @@ class TestOverflowingScales:
         offdiag[60:] *= factor
         return TridiagonalSymmetric(m.diag, offdiag)
 
-    @pytest.mark.parametrize("factor, degree", [(0.01, 118), (1e-3, 100)])
+    # the residual scale sums |z sqrt(m) p_n|^2, so the weight sqrt(m) < 1
+    # delays the overflow by one degree against |z p_n|^2 at factor 1e-3
+    @pytest.mark.parametrize("factor, degree", [(0.01, 118), (1e-3, 101)])
     def test_verify_similarity_names_the_degree(self, factor, degree):
         m = self.decayed(factor)
         data = build_transform(m)
