@@ -6,18 +6,18 @@ sub-diagonal.  The characterization is two-sided: the Gram-determinant
 condition on the Krylov vectors is necessary and sufficient (given a
 conjugation fixing the cyclic vector), and the sufficiency proof is
 constructive -- Gram-Schmidt plus a phase fix.  One QR of the Krylov
-matrix, diag(R) real and positive, serves both: the Gram determinants are
-read off Q and R, and ``canonicalize`` rotates Q into the canonical basis.
-The Krylov vectors of A and of A^* come out of one pass, one batched
-product per order with the stacked operator [A, A^*], A first scaled by a
-power of two so that none can overflow (a second pass scales each order
-back by a power of two when one would underflow).  The dense band test
-zeroes the three central diagonals of one |A| in place and takes the
-largest entry left, with no mask arrays.  The determinants are of unit
-vectors, so they are real and lie in [0, 1]; they are held as one
-read-only float64 array, which every report on the input wraps.  The latest factorization is kept,
-keyed on the full input content, so the criterion and then the
-construction on one input factor once.
+matrix, diag(R) real and positive, serves all three: x0 is cyclic when
+every |r_kk| of the unit columns exceeds ``CYCLIC_RANK_TOL``, the Gram
+determinants are read off Q and R, and ``canonicalize`` rotates Q into
+the canonical basis.  The Krylov vectors of A and of A^* come out of one
+pass, one batched product per order with the stacked operator [A, A^*], A
+first scaled by a power of two so that none can overflow (a second pass
+scales each order back by a power of two when one would underflow).  The
+determinants are of unit vectors, so they are real and lie in [0, 1];
+they are held as one read-only float64 array, which every report on the
+input wraps.  The latest factorization is kept, keyed on the full input
+content, so the criterion and then the construction on one input factor
+once.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .core import (
     as_complex_vector,
 )
 
+# x0 is cyclic when every |r_kk| of the unit-column Krylov QR exceeds this:
+# r_kk is the distance of the unit A^k x0 from span(x0, ..., A^{k-1} x0)
 CYCLIC_RANK_TOL = 1e-8
 
 
@@ -189,27 +191,13 @@ def _krylov(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return k
 
 
-def _require_cyclic(k: np.ndarray) -> None:
-    """Raises unless sigma_min / sigma_max of the column-scaled Krylov
-    matrix k shows x0 cyclic."""
-    ratio = 0.0
-    if k.any(axis=0).all():
-        sv = np.linalg.svd(k, compute_uv=False)
-        ratio = float(sv[-1] / sv[0])
-    if ratio <= CYCLIC_RANK_TOL:
-        raise PreconditionError(
-            f"x0 is not a cyclic vector: Krylov matrix rank deficient "
-            f"(sigma_min/sigma_max = {ratio:.3e})"
-        )
-
-
 def _krylov_qr(
     a: np.ndarray, x0: np.ndarray, j: ConjugationMap, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Q of the unit Krylov matrix K = QR, diag(R) real and positive, and
     Gamma_1..Gamma_{d-1} read off it, for x0 scaled to largest entry in
     [1, 2) and A scaled as ``_krylov`` does.  Both arrays are read-only.
-    Raises unless J is a conjugation, J x0 = x0 and x0 is cyclic.
+    Raises unless J is a conjugation, J x0 = x0 and x0 is cyclic (by r_kk).
 
     With y_n the unit (A^*)^n x0, Gamma_n = prod_{i<=n} r_ii^2 *
     sum_{i>n} |(Q^H y_n)_i|^2: the Gram determinant of k_0..k_n times the
@@ -229,13 +217,23 @@ def _krylov_qr(
             f"J x0 != x0 (residual {jx_res:.3e}); the criterion needs a fixed vector"
         )
     k = _krylov(a, x0)
-    _require_cyclic(k[0])
     k, y = k[0], k[1, :, 1:]
 
-    # columns have largest entry 1, so no norm overflows; x0 is cyclic, so no r_ii is 0
-    q, r = np.linalg.qr(k / _column_norms(k))
-    r_diag = r.diagonal()
-    q *= r_diag / np.abs(r_diag)
+    # columns have largest entry 1 or are zero, so no norm overflows; a zero
+    # column reads r_kk = 0, and is found before any division by its norm
+    norms = _column_norms(k)
+    r_abs = np.sign(norms)
+    if norms.all():
+        q, r = np.linalg.qr(k / norms)
+        r_diag = r.diagonal()
+        r_abs = np.abs(r_diag)
+    n = int(r_abs.argmin())
+    if r_abs[n] <= CYCLIC_RANK_TOL:
+        raise PreconditionError(
+            f"x0 is not a cyclic vector: Krylov matrix rank deficient at order "
+            f"k = {n} (unit-column r_kk = {r_abs[n]:.3e})"
+        )
+    q *= r_diag / r_abs
     q.flags.writeable = False
     y_norms = _column_norms(y)
     y /= np.where(y_norms > 0, y_norms, 1.0)
@@ -243,7 +241,7 @@ def _krylov_qr(
     proj = np.abs(q.conj().T @ y) ** 2
     proj *= np.arange(d)[:, None] >= np.arange(2, d + 1)
     dist = np.add.reduce(proj, axis=0)
-    gammas = (np.abs(r_diag) ** 2).cumprod()[1:] * dist
+    gammas = (r_abs ** 2).cumprod()[1:] * dist
     gammas.flags.writeable = False
     return q, gammas
 
@@ -293,7 +291,9 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     m of A in the u-basis is then extracted and verified to lie in the
     class.  Checks, in order: those of ``gram_condition_check``, J A J =
     A^*, the Gram condition, J g_r parallel to g_r, then the class test of
-    m, so each is relative to the scale of its input.
+    m, so each is relative to the scale of its input.  J g_r off its line
+    after the Gram condition held is a Krylov basis too ill-conditioned at
+    tol (``PreconditionError``); m outside the class, ``ConsistencyError``.
     The QR is computed once per input content: right after
     ``gram_condition_check`` on the same (a, x0, j, tol) it is reused.
     """
@@ -314,12 +314,11 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     jg = j.matrix @ g_conj
     beta = np.add.reduce(jg * g_conj, axis=0)
     dev = _column_norms(jg - beta * g)
-    bad = dev > tol
-    if bad.any():
-        r = int(bad.argmax())
-        raise ConsistencyError(
-            f"J g_{r} is not proportional to g_{r} (deviation {dev[r]:.3e}); "
-            "the Gram condition is numerically broken"
+    r = int(dev.argmax())
+    if dev[r] > tol:
+        raise PreconditionError(
+            f"Krylov basis too ill-conditioned at tol {tol:.3e}: J g_{r} is "
+            f"not proportional to g_{r} (deviation {dev[r]:.3e})"
         )
     # phi_r in [-tol, 2 pi - tol): with the cut at 0, rounding picks the
     # sign of u_r whenever phi_r is 0, as phi_0 is on every input (J x0 = x0)

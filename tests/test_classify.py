@@ -392,6 +392,23 @@ class TestCyclicityGuard:
         with pytest.raises(PreconditionError, match=r"cyclic.* = 0\.000e\+00"):
             gram_condition_check(nilpotent, np.array([0.0, 1.0, 0.0]), ConjugationMap.standard(3))
 
+    @pytest.mark.parametrize("s", [3, 9, 10, 18])
+    def test_disguised_members_past_d20_are_cyclic(self, s):
+        # the unit-column r_kk of these d = 22 members stay above 1e-8, where
+        # sigma_min / sigma_max of the same Krylov matrix fell below it
+        m, a, x0, j = envelope_member(22, s)
+        form = canonicalize(a, x0, j, 1e-8)
+        want = spectral_moments(m, 45).values
+        got = spectral_moments(form.matrix, 45).values
+        assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-7
+
+    def test_message_names_the_order_and_r_kk(self):
+        # A e_0 = e_0 + 1e-9 e_1 lies within 1e-9 of span(e_0), while A^2 e_0
+        # is about 1e-6 from span(e_0, e_1)
+        a = np.diag([1e-9, 1e3], -1).astype(complex) + np.diag([1, 2, 3])
+        with pytest.raises(PreconditionError, match=r"cyclic .*k = 1 .*r_kk = 1\.000e-09"):
+            gram_condition_check(a, e0(3), ConjugationMap.standard(3))
+
     def test_krylov_vector_below_normal_range_is_cyclic(self):
         # A^3 e_0 = 2^-1200 e_3 is past float64, but e_0 is cyclic: each
         # order is brought back to the normal range, so no column underflows
@@ -585,6 +602,32 @@ class TestCanonicalize:
         with pytest.raises(PreconditionError):
             canonicalize(a, e0(2), ConjugationMap.standard(2))
 
+    def test_ill_conditioned_krylov_basis_is_a_precondition(self):
+        # this d = 28 member passes the Gram condition at 1e-8, but its
+        # monomial Krylov basis is too ill-conditioned for J g_r to stay on
+        # its line at that tol: a precondition of the input, not a broken
+        # invariant
+        _, a, x0, j = envelope_member(28, 7)
+        assert gram_condition_check(a, x0, j, 1e-8).passed
+        with pytest.raises(
+            PreconditionError,
+            match=r"^Krylov basis too ill-conditioned at tol 1\.000e-08: "
+            r"J g_(\d+) is not proportional to g_\1 \(deviation \d\.\d{3}e-0[5-8]\)$",
+        ):
+            canonicalize(a, x0, j, 1e-8)
+
+    @pytest.mark.parametrize("d", [8, 24, 32, 48, 64])
+    def test_random_complex_symmetric_is_no_member(self, d):
+        # A = G + G^T for complex normal G is J-symmetric for C = I, but not
+        # tridiagonal in any orthonormal basis that starts at e_0: none is
+        # accepted, however ill-conditioned its Krylov basis
+        j = ConjugationMap.standard(d)
+        for s in range(20):
+            rng = np.random.default_rng(13000 + 100 * d + s)
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            with pytest.raises(PreconditionError, match="Gram-determinant|not a cyclic"):
+                canonicalize(g + g.T, e0(d), j, 1e-8)
+
 
 def criterion5_triple(seed):
     """The unitarily disguised member of acceptance criterion 5 at ``seed``."""
@@ -737,31 +780,41 @@ def envelope_member(d, s):
 
 
 class TestMembershipEnvelope:
-    """Verdicts on 20 disguised members per d, at tol 1e-8.  The monomial
-    Krylov matrix loses cyclicity past d = 20, so members are rejected there;
-    an orthogonal Krylov basis (ROADMAP item 7) is expected to change these
-    counts, and this table with them."""
+    """Verdicts on 20 disguised members per d, at tol 1e-8, as (accepted,
+    not cyclic, J-line precondition, internal invariant).  Cyclicity is read
+    off the r_kk of the Krylov QR; past d = 20 the monomial Krylov basis is
+    so ill-conditioned that some members still fail as not cyclic or have a
+    J g_r off its line, both exit 3.  No member reaches the class test of
+    the canonical matrix and fails it.  An orthogonal Krylov basis (ROADMAP
+    item 7) is expected to change these counts, and this table with them."""
 
     WANT = {
-        8: (20, 0, 0),
-        16: (20, 0, 0),
-        20: (20, 0, 0),
-        22: (16, 4, 0),
-        24: (18, 2, 0),
-        28: (7, 12, 1),
+        8: (20, 0, 0, 0),
+        16: (20, 0, 0, 0),
+        20: (20, 0, 0, 0),
+        22: (20, 0, 0, 0),
+        24: (18, 1, 1, 0),
+        28: (11, 4, 5, 0),
+        32: (5, 7, 8, 0),
+        40: (0, 19, 1, 0),
+        48: (0, 20, 0, 0),
+        64: (0, 20, 0, 0),
     }
 
     @pytest.mark.parametrize("d", sorted(WANT))
     def test_verdicts_and_moments(self, d):
-        accepted, not_cyclic, inconsistent = 0, 0, 0
+        accepted, not_cyclic, j_line, inconsistent = 0, 0, 0, 0
         for s in range(20):
             m, a, x0, j = envelope_member(d, s)
             try:
                 assert gram_condition_check(a, x0, j, 1e-8).passed
                 form = canonicalize(a, x0, j, 1e-8)
             except PreconditionError as e:
-                assert "x0 is not a cyclic vector" in str(e)
-                not_cyclic += 1
+                if "x0 is not a cyclic vector" in str(e):
+                    not_cyclic += 1
+                else:
+                    assert "Krylov basis too ill-conditioned" in str(e)
+                    j_line += 1
                 continue
             except ConsistencyError:
                 inconsistent += 1
@@ -770,7 +823,7 @@ class TestMembershipEnvelope:
             want = spectral_moments(m, 2 * d + 1).values
             got = spectral_moments(form.matrix, 2 * d + 1).values
             assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-7
-        assert (accepted, not_cyclic, inconsistent) == self.WANT[d]
+        assert (accepted, not_cyclic, j_line, inconsistent) == self.WANT[d]
 
 
 class TestNoRemovedHelpers:
@@ -813,5 +866,6 @@ class TestNoRemovedHelpers:
         finally:
             sys.setprofile(previous)
         assert passed
-        assert {"qr", "svd"} <= entered  # the hook sees trisim's direct numpy calls
+        assert "qr" in entered  # the hook sees trisim's direct numpy calls
+        assert "svd" not in entered  # cyclicity is read off the QR's r_kk
         assert not hits, f"removed helpers ran: {dict(hits)}"

@@ -42,6 +42,8 @@ from trisim.similarity import (
     verify_similarity,
 )
 
+from test_classify import envelope_member
+
 COMMANDS = ["classify", "canonicalize", "moments", "solve", "similarity", "verify", "gen"]
 
 
@@ -66,6 +68,11 @@ def strict_json(text):
         raise ValueError(f"not strict JSON: {constant}")
 
     return json.loads(text, parse_constant=reject)
+
+
+def envelope_document(a, x0, j):
+    """A dense input document of (A, x0, C)."""
+    return {**io.dense_to_json(a), "C": cvector_to_json(j.matrix), "x0": cvector_to_json(x0)}
 
 
 def chain_file(tmp_path):
@@ -571,6 +578,51 @@ class TestSimilarityCommand:
             assert err.endswith("the residual scale overflows at max|p_1| = 8.72e+299\n")
         if scale == 1e-310:
             assert err.endswith("p_1 = (z - b_0) / a_0 is not finite (|a_0| = 1.15e-310)\n")
+
+
+def schrodinger(seed, d):
+    """The discrete Schrödinger operator with a complex potential: unit
+    hopping, and on the diagonal 0.3 times complex normals of ``seed``."""
+    rng = np.random.default_rng(seed)
+    return TridiagonalSymmetric(0.3 * (rng.normal(size=d) + 1j * rng.normal(size=d)), np.ones(d - 1))
+
+
+class TestVerdictGrid:
+    """The ``similarity`` exit codes of seeds 0-4, one string per family and
+    d: ``gen``'s random class matrices, and the near-normal Schrödinger
+    family, whose spectrum lies near [-2, 2] yet whose node matrix turns
+    numerically singular from d = 128 on.  Each exit-1 cell names its check
+    on stderr.  A change that moves any cell changes this table."""
+
+    WANT = {
+        ("gen", 16): "00000",
+        ("gen", 32): "00000",
+        ("gen", 64): "00000",
+        ("gen", 128): "00000",
+        ("gen", 224): "00000",
+        ("schrodinger", 16): "00000",
+        ("schrodinger", 32): "00000",
+        ("schrodinger", 64): "00000",
+        ("schrodinger", 128): "11100",
+        ("schrodinger", 224): "11111",
+    }
+
+    @pytest.mark.parametrize("family, d", sorted(WANT))
+    def test_exit_codes(self, tmp_path, capsys, family, d):
+        make = random_class_matrix if family == "gen" else schrodinger
+        out = str(tmp_path / "out.json")
+        codes = ""
+        for seed in range(5):
+            p = write(tmp_path, "op.json", io.operator_to_json(make(seed, d)))
+            code = main(["similarity", "--input", p, "--output", out])
+            err = capsys.readouterr().err
+            if code == 1:
+                assert err.startswith("verification failed: node matrix numerically singular")
+                assert err.count("\n") == 1
+            else:
+                assert err == ""
+            codes += str(code)
+        assert codes == self.WANT[family, d]
 
 
 class TestTolFlag:
@@ -1157,6 +1209,36 @@ class TestCanonicalizeCommand:
             assert out["gram_condition"] is True
         else:
             assert io.operator_from_json(out["matrix"]).dim == 4
+
+    def test_d22_member_read_cyclic_off_the_qr(self, tmp_path, capsys):
+        # sigma_min / sigma_max of this member's Krylov matrix is below 1e-8,
+        # every unit-column r_kk above it: a member, in both commands
+        _, a, x0, j = envelope_member(22, 3)
+        p = write(tmp_path, "op.json", envelope_document(a, x0, j))
+        assert main(["classify", "--input", p]) == 0
+        assert json.loads(capsys.readouterr().out)["gram_condition"] is True
+        assert main(["canonicalize", "--input", p]) == 0
+
+    def test_zero_krylov_column_is_not_cyclic(self, tmp_path, capsys):
+        # A e_1 = e_0 and A^2 e_1 = 0: the zero column is found before any
+        # division by its norm, which would raise under the CLI's errstate
+        op = io.dense_to_json(np.diag(np.ones(2), 1))
+        op["x0"] = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+        assert main(["canonicalize", "--input", write(tmp_path, "op.json", op)]) == 3
+        assert capsys.readouterr().err == (
+            "precondition violated: x0 is not a cyclic vector: Krylov matrix rank "
+            "deficient at order k = 2 (unit-column r_kk = 0.000e+00)\n"
+        )
+
+    def test_ill_conditioned_krylov_basis_exits_3(self, tmp_path):
+        # the d = 28 member passes the Gram condition, but a J g_r is off its
+        # line by more than --tol: a precondition (exit 3), not exit 4
+        _, a, x0, j = envelope_member(28, 7)
+        proc = run_fresh("canonicalize", "--input", write(tmp_path, "op.json", envelope_document(a, x0, j)))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert "Krylov basis too ill-conditioned" in proc.stderr
+        assert "is not proportional to g_" in proc.stderr
 
     def test_missing_x0(self, tmp_path):
         p = write(
