@@ -2,22 +2,27 @@
 
 An operator belongs to the class of interest when some orthonormal basis
 turns it into a complex symmetric tridiagonal matrix with nonzero
-sub-diagonal.  The characterization is two-sided: the Gram-determinant
-condition on the Krylov vectors is necessary and sufficient (given a
-conjugation fixing the cyclic vector), and the sufficiency proof is
-constructive -- Gram-Schmidt plus a phase fix.  One QR of the Krylov
+sub-diagonal.  The class test and the J-symmetry residual read their
+operand divided by its largest real or imaginary part, each part divided
+as a real, and compare with eps times its largest |entry|: c A is judged
+as A at every finite scale, and no modulus can overflow.
+
+The characterization is two-sided: the Gram-determinant condition on the
+Krylov vectors is necessary and sufficient (given a conjugation fixing
+the cyclic vector), and the sufficiency proof is constructive --
+Gram-Schmidt plus a phase fix.  One QR of the Krylov
 matrix, diag(R) real and positive, serves all three: x0 is cyclic when
 every |r_kk| of the unit columns exceeds ``CYCLIC_RANK_TOL``, the Gram
 determinants are read off Q and R, and ``canonicalize`` rotates Q into
 the canonical basis.  The Krylov vectors of A and of A^* come out of one
 pass, one batched product per order with the stacked operator [A, A^*], A
 first scaled by a power of two so that none can overflow (a second pass
-scales each order back by a power of two when one would underflow).  The
-determinants are of unit vectors, so they are real and lie in [0, 1];
-they are held as one read-only float64 array, which every report on the
-input wraps.  The latest factorization is kept, keyed on the full input
-content, so the criterion and then the construction on one input factor
-once.
+scales each order back by a power of two when one would underflow), and
+leave it as unit columns.  The determinants are of unit vectors, so they
+are real and lie in [0, 1]; they are held as one read-only float64
+array, which every report on the input wraps.  The latest factorization
+is kept, keyed on the full input content, so the criterion and then the
+construction on one input factor once.
 """
 
 from __future__ import annotations
@@ -61,13 +66,28 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _column_norms(v: np.ndarray) -> np.ndarray:
-    """The 2-norms of the columns of v, as ``np.linalg.norm(v, axis=0)`` forms them."""
-    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=0))
+    """The 2-norms of the columns of v, or of each matrix in a stack of them,
+    as ``np.linalg.norm(v, axis=-2)`` forms them."""
+    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=-2))
 
 
-def _vanishing_subdiagonal(sub: np.ndarray, thresh: float) -> str | None:
-    """Why some |a_k| <= thresh, naming the first such k; None if none is."""
-    small = np.abs(sub) <= thresh
+def _unit(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """u = a / s and s, for s the largest |real or imaginary part| of a (1
+    if a = 0).  Each part is divided as a real: numpy divides a complex
+    array by a real as a * (1 / s), which overflows below s = 2^-1024, and
+    max|a| itself overflows near the float64 limit.  So u is finite for
+    every finite a, exact in scale for a subnormal one, and max|u| lies in
+    [1, sqrt(2)] unless a = 0."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    scale = float(np.abs(parts).max()) or 1.0
+    return (parts / scale).view(np.complex128), scale
+
+
+def _vanishing_subdiagonal(sub: np.ndarray, unit_sub: np.ndarray, thresh: float) -> str | None:
+    """Why some |a_k| vanishes, judged as |unit_sub_k| <= thresh for the
+    sub-diagonal ``sub`` scaled to ``unit_sub``; names the first such k,
+    or returns None if none is."""
+    small = np.abs(unit_sub) <= thresh
     if not small.any():
         return None
     k = int(small.argmax())
@@ -80,45 +100,45 @@ def is_class_matrix(
     """Check a matrix, dense or banded, for membership in the admissible class.
 
     Returns ``(ok, extracted, reason)``; ``extracted`` is None unless ok.
-    Membership requires: entries more than one off the diagonal vanish
-    (relative to eps * max|entry|, read as 2^-1022 for a subnormal dense m),
-    the matrix is symmetric (plain transpose, not Hermitian), and every
-    first-off-diagonal entry has magnitude above the same threshold, so c m
-    is judged as m is.  A ``TridiagonalSymmetric`` is tridiagonal and
-    symmetric by construction, so only the sub-diagonal test runs, in O(d).
+    Membership requires: entries more than one off the diagonal vanish, the
+    matrix is symmetric (plain transpose, not Hermitian), and every
+    first-off-diagonal entry is nonzero.  Each test reads m divided by its
+    largest real or imaginary part, against eps times the largest |entry|,
+    so c m is judged as m is, at every finite scale, and a banded m and its
+    dense twin get one verdict.  A ``TridiagonalSymmetric`` is tridiagonal
+    and symmetric by construction, so only the sub-diagonal test runs, in
+    O(d).
     """
     if isinstance(m, TridiagonalSymmetric):
-        scale = max(float(np.abs(m.diag).max()), float(np.abs(m.offdiag).max()))
-        reason = _vanishing_subdiagonal(m.offdiag, eps * scale)
-        if reason is not None:
-            return False, None, reason
-        return True, m, "ok"
+        u = _unit(np.concatenate((m.diag, m.offdiag)))[0]
+        reason = _vanishing_subdiagonal(m.offdiag, u[m.dim :], eps * float(np.abs(u).max()))
+        return (True, m, "ok") if reason is None else (False, None, reason)
 
     a = as_complex_matrix(m)
     d = a.shape[0]
     if d < 2:
         raise InputError("dimension must be at least 2")
-    scale = max(float(np.abs(a).max()), 2.0**-1022)  # 1 / scale stays finite
-    unit = a / scale  # no difference of entries near the float64 limit overflows
+    unit, scale = _unit(a)  # |unit| <= sqrt(2), so no difference of entries overflows
 
     # the largest |entry| off the band: in a C-ordered d x d array the main,
     # upper and lower diagonals are the flat elements 0, 1 and d onwards in
     # steps of d + 1, so they are zeroed in place
     band = np.abs(unit, out=np.empty((d, d)))
+    thresh = eps * float(band.max())
     flat = band.reshape(-1)
     flat[:: d + 1] = 0.0
     flat[1 :: d + 1] = 0.0
     flat[d :: d + 1] = 0.0
     off_band = float(band.max())
-    if off_band > eps:
+    if off_band > thresh:
         return False, None, f"not tridiagonal: off-band entry of magnitude {off_band * scale:.3e}"
 
     asym = float(np.abs(unit - unit.T).max())
-    if asym > eps:
+    if asym > thresh:
         return False, None, f"not complex symmetric: max |m[k,l] - m[l,k]| = {asym * scale:.3e}"
 
     sub = a.diagonal(1)
-    reason = _vanishing_subdiagonal(sub, eps * scale)
+    reason = _vanishing_subdiagonal(sub, unit.diagonal(1), thresh)
     if reason is not None:
         return False, None, reason
 
@@ -132,9 +152,10 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
     """Relative residual of J A J = A^*, to be compared with tol.
 
     The composition J A J is antilinear twice, hence linear, with matrix
-    C conj(A) conj(C).  The residual is max|C conj(U) conj(C) - U^H| for
-    U = A / max|A|: it does not depend on the scale of A and stays finite
-    near the float64 limit.  ``j`` is checked first (unitary, symmetric C).
+    C conj(A) conj(C).  The residual is max|C conj(U) conj(C) - U^H| / max|U|
+    for U = A divided by its largest real or imaginary part: it does not
+    depend on the scale of A, and no modulus overflows near the float64
+    limit.  ``j`` is checked first (unitary, symmetric C).
     """
     a = as_complex_matrix(a, "A")
     if a.shape[0] != j.dim:
@@ -145,12 +166,10 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
 
 def _j_residual(a: np.ndarray, j: ConjugationMap) -> float:
     """The residual of ``verify_j_symmetric``, for A and C of one dimension."""
-    scale = float(np.abs(a).max())
-    if scale < 2.0**-1022:  # numpy divides complex by real as a * (1 / scale), inf below 2^-1024
-        return _j_residual(a * 2.0**1022, j) if scale else 0.0
-    u = a / scale
+    u = _unit(a)[0]
     juj = j.matrix @ np.conj(u) @ np.conj(j.matrix)
-    return float(np.abs(juj - u.conj().T).max())
+    # max|U| >= 1 unless A = 0, whose residual is 0
+    return float(np.abs(juj - u.conj().T).max()) / max(float(np.abs(u).max()), 1.0)
 
 
 def _krylov(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -164,8 +183,9 @@ def _krylov(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
     may run into the subnormal range, the powers are formed again with
     each order scaled back to largest part in [1/2, 1), so none can
     underflow.  Powers of two move no direction.  Each column is then
-    scaled to largest entry 1; only a vector that is zero to float64
-    precision stays zero.
+    scaled to largest entry 1, so its 2-norm cannot overflow, and divided
+    by that norm; only a vector that is zero to float64 precision stays
+    zero.
     """
     d = len(x0)
     ops = np.empty((2, d, d), dtype=np.complex128)
@@ -188,6 +208,8 @@ def _krylov(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
         if scales.min() >= 2.0**-969:
             break
     k /= np.where(scales > 0, scales, 1.0)[:, None, :]
+    norms = _column_norms(k)  # largest entry 1, so no norm overflows
+    k /= np.where(norms > 0, norms, 1.0)[:, None, :]
     return k
 
 
@@ -196,8 +218,10 @@ def _krylov_qr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Q of the unit Krylov matrix K = QR, diag(R) real and positive, and
     Gamma_1..Gamma_{d-1} read off it, for x0 scaled to largest entry in
-    [1, 2) and A scaled as ``_krylov`` does.  Both arrays are read-only.
-    Raises unless J is a conjugation, J x0 = x0 and x0 is cyclic (by r_kk).
+    [1, 2) and A scaled as ``_krylov`` does, which also hands over the
+    unit columns of both families.  Both arrays are read-only.  Raises
+    unless J is a conjugation, J x0 = x0 and x0 is cyclic (by r_kk; a
+    zero column reads r_kk = 0).
 
     With y_n the unit (A^*)^n x0, Gamma_n = prod_{i<=n} r_ii^2 *
     sum_{i>n} |(Q^H y_n)_i|^2: the Gram determinant of k_0..k_n times the
@@ -219,14 +243,9 @@ def _krylov_qr(
     k = _krylov(a, x0)
     k, y = k[0], k[1, :, 1:]
 
-    # columns have largest entry 1 or are zero, so no norm overflows; a zero
-    # column reads r_kk = 0, and is found before any division by its norm
-    norms = _column_norms(k)
-    r_abs = np.sign(norms)
-    if norms.all():
-        q, r = np.linalg.qr(k / norms)
-        r_diag = r.diagonal()
-        r_abs = np.abs(r_diag)
+    q, r = np.linalg.qr(k)
+    r_diag = r.diagonal()
+    r_abs = np.abs(r_diag)
     n = int(r_abs.argmin())
     if r_abs[n] <= CYCLIC_RANK_TOL:
         raise PreconditionError(
@@ -235,8 +254,6 @@ def _krylov_qr(
         )
     q *= r_diag / r_abs
     q.flags.writeable = False
-    y_norms = _column_norms(y)
-    y /= np.where(y_norms > 0, y_norms, 1.0)
     # column n - 1 sums |(Q^H y_n)_l|^2 over l > n: the rows l <= n are zeroed
     proj = np.abs(q.conj().T @ y) ** 2
     proj *= np.arange(d)[:, None] >= np.arange(2, d + 1)

@@ -176,24 +176,20 @@ def admissible_radius(s0: float, c: complex, n: int, delta: float = MASS_DELTA) 
     return max(1.0, need * (1.0 + 1e-9))
 
 
-def _normalized_targets(s0: float, c: np.ndarray, r: float) -> np.ndarray:
-    """ct_n = (c_n / s0) / r^n for n = 0..len(c)-1, exactly 0 where c_n is."""
+def _circle(s0: float, r: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and masses of the circle carrying mass s0 with moments c_0..c_rho.
+
+    N = 2 rho + 1 atoms r w^j, w = exp(2 pi i / N), with masses
+    (s0/N) (1 + 2 Re sum_n conj(ct_n) w^(jn)) for the targets
+    ct_n = (c_n / s0) / r^n, exactly 0 where c_n is (c_0 = c_1 = 0), read
+    off one FFT of ct.  Over the N-th roots of unity the order-k moment,
+    1 <= k <= rho, picks up only the frequency n = k, because
+    k + n <= 2 rho < N: it is s0 r^k ct_k = c_k.  Masses are positive
+    whenever sum |ct_n| < 1/2.
+    """
     n = c.nonzero()[0]
     ct = np.zeros(len(c), dtype=np.complex128)
     ct[n] = (c[n] / s0) / r**n
-    return ct
-
-
-def _circle(s0: float, r: float, ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and masses of the circle carrying mass s0 with targets ct_0..ct_rho.
-
-    N = 2 rho + 1 atoms r w^j, w = exp(2 pi i / N), with masses
-    (s0/N) (1 + 2 Re sum_n conj(ct_n) w^(jn)), read off one FFT of ct
-    (ct_0 = ct_1 = 0).  Over the N-th roots of unity the order-k moment,
-    1 <= k <= rho, picks up only the frequency n = k, because
-    k + n <= 2 rho < N: it is s0 r^k ct_k.  Masses are positive whenever
-    sum |ct_n| < 1/2.
-    """
     big_n = 2 * len(ct) - 1
     atoms = r * np.exp(2j * np.pi * np.arange(big_n) / big_n)
     # Re sum_n ct_n w^(-jn) = Re sum_n conj(ct_n) w^(jn)
@@ -215,18 +211,18 @@ def solve_gap_moments(
     if r <= 0:
         raise InputError("radius must be positive")
     c = complex(c)
-    targets = np.zeros(n + 1, dtype=np.complex128)
-    targets[n] = c
-    ct = _normalized_targets(s0, targets, r)
+    ct = abs(c / s0) / np.float64(r) ** n  # numpy's power overflows to inf
     # delta = 0 admits the boundary |c~| = 1/2 (masses can still all be
     # positive there, as the positivity check in _circle decides); the
     # default margin guarantees the mass floor 2*delta*s0/N
-    if abs(ct[n]) > 0.5 - delta:
+    if ct > 0.5 - delta:
         raise InputError(
-            f"|c~| = {abs(ct[n]):.4f} exceeds {0.5 - delta}; "
+            f"|c~| = {ct:.4f} exceeds {0.5 - delta}; "
             f"choose a radius of at least {admissible_radius(s0, c, n, delta):.6g}"
         )
-    atoms, masses = _circle(s0, r, ct)
+    targets = np.zeros(n + 1, dtype=np.complex128)
+    targets[n] = c
+    atoms, masses = _circle(s0, r, targets)
     return CircleSolution(
         radius=float(r), order=n, target=c, measure=AtomicMeasure(atoms, masses)
     )
@@ -345,7 +341,7 @@ def algorithm1(
     require_finite(c, lambda n: f"moment order {n}: c_{n} = s_{n} - (s_0/2) a^{n} overflows")
     r = _circle_radius(half, c, floor, schedule.delta)
     _check_scale(half, math.log10(r), rho)
-    atoms, masses = _circle(half, r, _normalized_targets(half, c, r))
+    atoms, masses = _circle(half, r, c)
     return AtomicMeasure(
         np.concatenate(([first_atom], atoms)), np.concatenate(([half], masses))
     )

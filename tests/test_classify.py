@@ -63,6 +63,11 @@ class TestIsClassMatrix:
         ok, _, reason = is_class_matrix(m)
         assert not ok
         assert "tridiagonal" in reason
+        # near the float64 limit, where |m[0, 0]| overflows though each of
+        # its parts is finite, the off-band entry is still what fails
+        m *= 1e308
+        m[0, 0] = 1.3e308 * (1 + 1j)
+        assert is_class_matrix(m)[::2] == (False, "not tridiagonal: off-band entry of magnitude 1.000e+308")
 
     def test_rejects_dim_1(self):
         with pytest.raises(InputError):
@@ -84,11 +89,8 @@ class TestIsClassMatrix:
         cases.append(weak)
         # at eps 0.4 the threshold is 0.4 to 0.8 of max|entry|, so some of
         # the random |a_k| in [0.5, 2] vanish and some do not; both branches
-        # judge c m as m at every normal scale, and at a subnormal one while
-        # eps * 2^-1022 stays below every |a_k| but weak's
-        grid = [(1.0, 1e-9), (1.0, 0.4)]
-        grid += [(c, eps) for c in (1e150, 1e-150, 1e-300) for eps in (1e-9, 0.4)]
-        grid.append((1e-310, 1e-9))
+        # judge c m as m at every scale, a subnormal one too
+        grid = [(c, eps) for c in (1.0, 1e150, 1e-150, 1e-300, 1e-310) for eps in (1e-9, 0.4)]
         for (c, eps), base in itertools.product(grid, cases):
             m = base if c == 1.0 else TridiagonalSymmetric(c * base.diag, c * base.offdiag)
             ok, tri, reason = is_class_matrix(m, eps)
@@ -104,6 +106,13 @@ class TestIsClassMatrix:
             else:
                 assert tri is None and tri_dense is None
         assert "a_1 vanishes" in is_class_matrix(weak)[2]
+        # members at the float64 edges, in both document kinds: a subnormal
+        # one, and one whose |b_0| overflows though each of its parts is finite
+        for m in (
+            TridiagonalSymmetric([1e-310, 0, 0], [1e-310, 1e-318]),
+            TridiagonalSymmetric([1.3e308 * (1 + 1j), 0, 0], [1e308, 1e308]),
+        ):
+            assert is_class_matrix(m, 1e-9)[::2] == is_class_matrix(m.dense(), 1e-9)[::2] == (True, "ok")
 
     @pytest.mark.parametrize("dense", [False, True], ids=["banded", "dense"])
     def test_zero_matrix_has_a_vanishing_a_0(self, dense):
@@ -113,29 +122,35 @@ class TestIsClassMatrix:
 
     @staticmethod
     def reference_dense(m, eps):
-        """The dense branch as it read with np.triu / np.tril masks, judged
-        at max|A| itself, read as 2^-1022 below the normal range."""
+        """The dense branch as it read with np.triu / np.tril masks: A is
+        divided by its largest real or imaginary part, each part as a real,
+        and every test is against eps times its largest |entry|, at every
+        finite scale."""
         a = np.asarray(m, dtype=complex)
-        scale = max(float(np.abs(a).max()), 2.0**-1022)
-        unit = a / scale
+        scale = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max())) or 1.0
+        unit = a.real / scale + 1j * (a.imag / scale)
+        thresh = eps * float(np.abs(unit).max())
         off_band = float(np.abs(np.triu(unit, 2) + np.tril(unit, -2)).max())
-        if off_band > eps:
+        if off_band > thresh:
             return False, None, f"not tridiagonal: off-band entry of magnitude {off_band * scale:.3e}"
         asym = float(np.abs(unit - unit.T).max())
-        if asym > eps:
+        if asym > thresh:
             return False, None, f"not complex symmetric: max |m[k,l] - m[l,k]| = {asym * scale:.3e}"
         sub = a.diagonal(1)
-        small = np.abs(sub) <= eps * scale
+        small = np.abs(unit.diagonal(1)) <= thresh
         if small.any():
             k = int(small.argmax())
             return False, None, f"sub-diagonal entry a_{k} vanishes (|a_{k}| = {abs(sub[k]):.3e})"
-        return True, (a.diagonal().copy(), 0.5 * sub + 0.5 * a.diagonal(-1)), "ok"
+        # the midpoint as sub + (super - sub) / 2: (sub + super) / 2 halves
+        # a subnormal entry inexactly, even for an exactly symmetric input
+        return True, (a.diagonal().copy(), sub + 0.5 * (a.diagonal(-1) - sub)), "ok"
 
     @staticmethod
     def dense_cases():
         """Members, off-band entries on both sides of the threshold,
-        asymmetric and vanishing sub-diagonal entries, at three scales and
-        in C order, Fortran order and as a transposed view."""
+        asymmetric and vanishing sub-diagonal entries, at four scales, a
+        subnormal one too, and near the float64 limit, with |m[0, 0]|
+        past it; in C order, Fortran order and as a transposed view."""
         rng = np.random.default_rng(27)
         for seed in range(24):
             d = 2 + seed % 11
@@ -161,9 +176,11 @@ class TestIsClassMatrix:
             k = int(rng.integers(0, d - 1))
             gap[k, k + 1] = gap[k + 1, k] = 1e-12 * (1 + 1j)
             variants.append(gap)
-            for v, scale in itertools.product(variants, (1.0, 1e150, 1e-150)):
-                for layout in (v * scale, np.asfortranarray(v * scale), (v * scale).T):
-                    yield layout
+            for v in variants:
+                edge = v * (1e308 / np.abs(v).max())
+                edge[0, 0] = 1.3e308 * (1 + 1j)
+                for w in (v, v * 1e150, v * 1e-150, v * 1e-310, edge):
+                    yield from (w, np.asfortranarray(w), w.T)
 
     def test_dense_band_test_matches_the_mask_formula(self):
         outcomes = Counter()
@@ -181,8 +198,8 @@ class TestIsClassMatrix:
         # every verdict occurs, so each branch was compared
         assert {"ok", "not tridiagonal", "not complex symmetric"} <= set(outcomes)
         assert any(r.startswith("sub-diagonal entry") for r in outcomes)
-        # a member is one at every scale, 1e-150 too
-        for seed, c in itertools.product(range(24), (1.0, 1e150, 1e-150)):
+        # a member is one at every scale, 1e-310 too
+        for seed, c in itertools.product(range(24), (1.0, 1e150, 1e-150, 1e-310)):
             m = random_class_matrix(2700 + seed, 2 + seed % 11).dense()
             assert is_class_matrix(c * m)[::2] == (True, "ok")
 
@@ -199,11 +216,15 @@ class TestVerifyJSymmetric:
         a = np.array([[0, 1], [0, 0]], dtype=complex)
         assert verify_j_symmetric(a, ConjugationMap.standard(2)) == pytest.approx(1)
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e300, 1.7e308])
-    def test_residual_is_relative(self, scale):
-        # the residual of A / max|A|: a Jordan block reads 1 at every scale
-        a = scale * np.array([[0, 1], [0, 0]], dtype=complex)
-        assert verify_j_symmetric(a, ConjugationMap.standard(2)) == pytest.approx(1)
+    @pytest.mark.parametrize(
+        "a, want",
+        [pytest.param(s * np.array([[0, 1], [0, 0]], dtype=complex), 1.0, id=str(s)) for s in (1e-300, 1e300, 1.7e308)]
+        + [pytest.param([[1.3e308 * (1 + 1j), 1e308], [0, 0]], 1 / (1.3 * np.sqrt(2)), id="modulus-overflow")],
+    )
+    def test_residual_is_relative(self, a, want):
+        # the residual is relative to max|A|: a Jordan block reads 1 at
+        # every scale, and max|A| counts also where it overflows float64
+        assert verify_j_symmetric(a, ConjugationMap.standard(2)) == pytest.approx(want, rel=1e-12)
 
     def test_residual_below_normal_range(self):
         # numpy divides a complex array by a real as A * (1 / max|A|), which
