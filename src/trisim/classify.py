@@ -161,11 +161,13 @@ def verify_j_symmetric(a, j: ConjugationMap, tol: float = DEFAULT_TOL) -> float:
     if a.shape[0] != j.dim:
         raise InputError("operator and conjugation dimensions differ")
     j.check(tol)
-    return _j_residual(a, j)
+    return j_residual(a, j)
 
 
-def _j_residual(a: np.ndarray, j: ConjugationMap) -> float:
-    """The residual of ``verify_j_symmetric``, for A and C of one dimension."""
+def j_residual(a: np.ndarray, j: ConjugationMap) -> float:
+    """The residual of ``verify_j_symmetric`` without its check of J, for A
+    and C of one dimension and C already checked, as ``gram_condition_check``
+    checks it."""
     u = _unit(a)[0]
     juj = j.matrix @ np.conj(u) @ np.conj(j.matrix)
     # max|U| >= 1 unless A = 0, whose residual is 0
@@ -318,7 +320,7 @@ def canonicalize(a, x0, j: ConjugationMap, tol: float = DEFAULT_TOL) -> Canonica
     x0 = as_complex_vector(x0, "x0")
 
     g, report = _memo_krylov_qr(a, x0, j, tol)
-    res = _j_residual(a, j)
+    res = j_residual(a, j)
     if res > tol:
         raise PreconditionError(f"A is not J-symmetric (relative residual {res:.3e})")
     if not report.passed:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,10 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trisim
-from trisim import cli
+from trisim import classify, cli
 from trisim import io
+from trisim.classify import canonicalize
 from trisim.core import (
     DEFAULT_TOL,
+    ConjugationMap,
     ConsistencyError,
     TridiagonalSymmetric,
     random_class_matrix,
@@ -98,10 +101,11 @@ class TestGen:
         main(["gen", "--seed", "2", "--d", "2", "--output", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
-    def test_generated_matrix_is_in_class(self, tmp_path):
+    def test_generated_matrix_is_in_class(self, tmp_path, capsys):
         p = tmp_path / "op.json"
         main(["gen", "--seed", "7", "--d", "5", "--output", str(p)])
         assert main(["classify", "--input", str(p)]) == 0
+        assert strict_json(capsys.readouterr().out)["class_matrix"] is True
 
     def test_rejects_d_below_two(self):
         assert main(["gen", "--seed", "1", "--d", "1"]) == 2
@@ -205,6 +209,57 @@ class TestClassify:
         report = strict_json(capsys.readouterr().out)
         assert report["j_symmetric"] is False
         assert report["j_symmetry_residual"] == pytest.approx(1.2026, abs=1e-4)
+
+    def test_overflowing_modulus_is_not_j_symmetric(self, tmp_path, capsys):
+        # max|A| overflows float64 though each part is finite, yet the J
+        # residual for C = I is finite, 1 / (1.3 sqrt 2)
+        op = {"kind": "dense", "rows": [[[1.3e308, 1.3e308], [1e308, 0]], [[0, 0], [0, 0]]]}
+        op["C"] = io.dense_to_json(np.eye(2))["rows"]
+        assert main(["classify", "--input", write(tmp_path, "op.json", op)]) == 1
+        report = strict_json(capsys.readouterr().out)
+        assert report["j_symmetric"] is False
+        assert report["j_symmetry_residual"] == pytest.approx(0.544, abs=1e-3)
+
+    @staticmethod
+    def member_with_e0(conjugation):
+        """gen seed 7 at d = 4 as a tridiagonal document with x0 = e_0, and
+        C = I if ``conjugation``."""
+        op = {**io.operator_to_json(random_class_matrix(7, 4)), "x0": [[1, 0]] + [[0, 0]] * 3}
+        if conjugation:
+            op["C"] = io.dense_to_json(np.eye(4))["rows"]
+        return op
+
+    def test_gram_determinants_of_a_member(self, tmp_path, capsys):
+        # canonicalize passes the member with x0 = e_0; with C = I too,
+        # classify lists Gamma_n for n = 1..d-1, each a real [re, 0.0] in
+        # [0, 1], the last exactly 0, and the Gram condition holds
+        p = write(tmp_path, "x0.json", self.member_with_e0(False))
+        assert main(["canonicalize", "--input", p]) == 0
+        assert io.operator_from_json(strict_json(capsys.readouterr().out)["matrix"]).dim == 4
+        p = write(tmp_path, "cx.json", self.member_with_e0(True))
+        assert main(["classify", "--input", p]) == 0
+        report = strict_json(capsys.readouterr().out)
+        g = report["gram_determinants"]
+        assert [e["n"] for e in g] == [1, 2, 3]
+        assert all(e["gamma"][1] == 0.0 and 0 <= e["gamma"][0] <= 1 for e in g)
+        assert g[-1]["gamma"] == [0.0, 0.0]
+        assert report["gram_condition"] is True and report["j_symmetric"] is True
+
+    def test_conjugation_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        # the Gram check checks J, and the J residual after it does not again
+        checks = []
+        check = ConjugationMap.check
+
+        def counting(self, tol=DEFAULT_TOL):
+            checks.append(tol)
+            check(self, tol)
+
+        monkeypatch.setattr(ConjugationMap, "check", counting)
+        # a factorization kept from an earlier call would skip the Gram check's own
+        monkeypatch.setattr(classify, "_last_qr", (None, None))
+        p = write(tmp_path, "cx.json", self.member_with_e0(True))
+        assert main(["classify", "--input", p]) == 0
+        assert checks == [DEFAULT_TOL]
 
     @pytest.mark.parametrize(
         "fields, code",
@@ -442,13 +497,32 @@ class TestMomentsCommand:
         assert len(proc.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["moments", "similarity"])
-def test_dense_document_matches_tridiagonal(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, m, flags",
+    [
+        pytest.param("moments", random_class_matrix(17, 6), [], id="moments"),
+        pytest.param("similarity", random_class_matrix(17, 6), [], id="similarity"),
+        # members at the float64 edges: a subnormal one, and one whose |b_0|
+        # overflows though each of its parts is finite
+        pytest.param(
+            "classify",
+            TridiagonalSymmetric([1e-310, 0, 0], [1e-310, 1e-318]),
+            ["--tol", "1e-9"],
+            id="classify-subnormal",
+        ),
+        pytest.param(
+            "classify",
+            TridiagonalSymmetric([1.3e308 * (1 + 1j), 0, 0], [1e308, 1e308]),
+            [],
+            id="classify-overflowing-modulus",
+        ),
+    ],
+)
+def test_dense_document_matches_tridiagonal(tmp_path, capsys, command, m, flags):
     # both documents go through the one class test and print the same bytes
-    m = random_class_matrix(17, 6)
     outputs = []
     for name, doc in [("tri", io.operator_to_json(m)), ("dense", io.dense_to_json(m.dense()))]:
-        assert main([command, "--input", write(tmp_path, name + ".json", doc)]) == 0
+        assert main([command, "--input", write(tmp_path, name + ".json", doc), *flags]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
 
@@ -496,6 +570,20 @@ class TestSimilarityCommand:
         assert result["passed"] is False
         assert result["max_residual"] <= 1e-8
         assert result["node_matrix_sigma_min"] < 1e-10
+
+    @pytest.mark.parametrize("seed, d", [(3, 20), (1, 159)])
+    def test_generated_input_verifies(self, tmp_path, capsys, seed, d):
+        # the ring cascade the circle replaced exhausted float64 at d = 20;
+        # d = 159 is the smallest gen input that passes, its equilibrated
+        # sigma_min just above the floor 1e-10, so a kernel change that
+        # moves the verdict at the floor fails here
+        op = tmp_path / "op.json"
+        main(["gen", "--seed", str(seed), "--d", str(d), "--output", str(op)])
+        assert main(["similarity", "--input", str(op)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["passed"] is True
+        if d == 159:
+            assert 1e-10 < result["node_matrix_sigma_min"] < 1.1e-10
 
     def test_residual_failure_names_max_residual_and_tol(self, tmp_path, capsys):
         op = tmp_path / "op.json"
@@ -675,6 +763,8 @@ class TestTolFlag:
             reason = "sub-diagonal entry a_1 vanishes (|a_1| = 3.000e-10)"
             assert (code, cls["class_matrix"], cls["reason"]) == (1, False, reason)
             assert (sim_code, sim, err) == (3, None, f"precondition violated: {reason}\n")
+            # similarity's default tol, 1e-8, judges it as 1e-9 does
+            assert self.verdicts(capsys, ["similarity", "--input", inp]) == (3, None, err)
             # moments has no --tol: it judges at DEFAULT_TOL, 1e-9
             assert self.verdicts(capsys, ["moments", "--input", inp]) == (3, None, err)
 
@@ -812,7 +902,9 @@ class TestRoundTrip:
         assert main(argv) == 0
         text = out.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
-        result = json.loads(text)
+        result = strict_json(text)
+        # the rank-one scale is written only as the recurrence's a_{d-1}
+        assert result["recurrence"]["kind"] == "tridiagonal" and "rank_one_scale" not in result
 
         tri = io.operator_from_json(io.load_json(str(op)))
         data = build_transform(tri, schedule=schedule)
@@ -878,6 +970,16 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) <= 200 + len(str(p))
+
+    def test_deep_json_exits_2_at_the_default_recursion_limit(self, tmp_path):
+        # nested deeper than json.load recurses, in an interpreter whose
+        # recursion limit no test runner has touched
+        p = tmp_path / "deep.json"
+        p.write_text('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        proc = run_fresh("classify", "--input", str(p))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_non_utf8_input_exits_2(self, tmp_path):
         p = tmp_path / "op.json"
@@ -1168,6 +1270,36 @@ class TestCanonicalizeCommand:
         assert isinstance(tri, TridiagonalSymmetric)
         assert len(result["phases"]) == 3
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**300, 2.0**-300], ids=["1", "2**300", "2**-300"])
+    def test_disguised_d12_member(self, tmp_path, capsys, scale):
+        # gen seed 5 at d = 12 as dense Q A Q^H, C = Q Q^T, x0 = Q e_0: classify
+        # passes the Gram condition and canonicalize exits 0, with A scaled back
+        # before any power is formed, so raw Krylov vectors that would overflow
+        # (2^300) or underflow (2^-300) give the same Gram determinants
+        m = random_class_matrix(5, 12)
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+        a = q @ m.dense() @ q.conj().T
+        extra = {"C": cvector_to_json(q @ q.T), "x0": cvector_to_json(q[:, 0])}
+        gammas = []
+        for c in dict.fromkeys([1.0, scale]):  # the scaled document last
+            p = write(tmp_path, "op.json", {**io.dense_to_json(c * a), **extra})
+            assert main(["classify", "--input", p]) == 0
+            report = strict_json(capsys.readouterr().out)
+            assert report["gram_condition"] is True
+            gammas.append(report["gram_determinants"])
+        assert gammas[-1] == gammas[0]
+        assert main(["canonicalize", "--input", p]) == 0
+        canonical = strict_json(capsys.readouterr().out)["matrix"]
+        if scale == 1.0:
+            # the canonical matrix has the moments of the original to 1e-7
+            moments = []
+            for name, doc in [("m", io.operator_to_json(m)), ("can", canonical)]:
+                assert main(["moments", "--input", write(tmp_path, name + ".json", doc)]) == 0
+                moments.append(io.moments_from_json(json.loads(capsys.readouterr().out)).values)
+            s, t = moments
+            assert np.max(np.abs(s - t) / np.maximum(1, np.abs(s))) <= 1e-7
+
     def test_growing_krylov_columns_accepted(self, tmp_path):
         m = random_class_matrix(22, 16)
         op = io.dense_to_json(m.dense())
@@ -1209,6 +1341,11 @@ class TestCanonicalizeCommand:
             assert out["gram_condition"] is True
         else:
             assert io.operator_from_json(out["matrix"]).dim == 4
+            # the unscaled member's off-diagonal times the scale, to 1e-12 relative
+            unit = canonicalize(random_class_matrix(3, 4).dense(), np.eye(4)[0], ConjugationMap.standard(4))
+            want = scale * unit.matrix.offdiag
+            got = io.operator_from_json(out["matrix"]).offdiag
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_d22_member_read_cyclic_off_the_qr(self, tmp_path, capsys):
         # sigma_min / sigma_max of this member's Krylov matrix is below 1e-8,
@@ -1237,8 +1374,7 @@ class TestCanonicalizeCommand:
         proc = run_fresh("canonicalize", "--input", write(tmp_path, "op.json", envelope_document(a, x0, j)))
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-        assert "Krylov basis too ill-conditioned" in proc.stderr
-        assert "is not proportional to g_" in proc.stderr
+        assert re.search(r"Krylov basis too ill-conditioned at tol .*: J g_\d+ is not proportional to g_\d+", proc.stderr)
 
     def test_missing_x0(self, tmp_path):
         p = write(
