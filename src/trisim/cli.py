@@ -14,14 +14,16 @@ Exit codes: 0 pass, 1 verification failure, 2 malformed input,
 3 precondition violation, 4 internal-invariant failure.
 
 ``main(argv)`` returns the exit code and may be called any number of times
-in one process.  A call that names a command builds one argument parser,
-that command's, and reads the terminal width once; the ``trisim`` parser is
-built only for help, an unknown command and leftover arguments.  Building
-one parser in place of two saves about 0.2 ms a call, which counts for
-in-process callers.  A console run dwarfs it: on a shared 2-vCPU VM a
-d = 16 run takes about 148 ms, of which bare Python is 44 ms and numpy's
-import 65-70 ms.  With ``PYTHONDONTWRITEBYTECODE=1`` set, trisim is
-compiled again on every run.
+in one process.  Help and argparse's errors, such as a missing required
+flag, leave it through ``SystemExit`` (code 0 for help, 2 for an error);
+every other outcome is returned.  A call that names a command builds one
+argument parser, that command's, and reads the terminal width once; the
+``trisim`` parser is built only for help, an unknown command and leftover
+arguments.  Building one parser in place of two saves about 0.2 ms a call,
+which counts for in-process callers.  A console run dwarfs it: on a shared
+2-vCPU VM a d = 16 run takes about 148 ms, of which bare Python is 44 ms
+and numpy's import 65-70 ms.  With ``PYTHONDONTWRITEBYTECODE=1`` set,
+trisim is compiled again on every run.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .classify import (
     verify_j_symmetric,
 )
 from .moments import MASS_DELTA, RADIUS_RATIO, RadiusSchedule, algorithm1
-from .moments import spectral_moments, verify_measure
+from .moments import moment_order, spectral_moments, verify_measure
 from .similarity import ORTHONORMALITY_TOL, build_transform, verify_similarity
 
 EXIT_PASS = 0
@@ -147,10 +149,7 @@ def cmd_canonicalize(args) -> int:
 def cmd_moments(args) -> int:
     _, op = _load_operator(args)
     tri = _require_class(op, DEFAULT_TOL)  # moments has no --tol
-    rho = args.rho if args.rho is not None else 2 * tri.dim + 1
-    if args.rho is not None and args.rho <= 2 * tri.dim:
-        raise InputError(f"rho must exceed 2d = {2 * tri.dim}")
-    seq = spectral_moments(tri, rho)
+    seq = spectral_moments(tri, moment_order(tri.dim, args.rho))
     io.dump_json(io.moments_to_json(seq), args.output)
     return EXIT_PASS
 
@@ -197,8 +196,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.seed is None:
-        raise InputError("gen needs --seed")
     tri = random_class_matrix(args.seed, args.d)
     io.dump_json(io.operator_to_json(tri), args.output)
     return EXIT_PASS
@@ -250,13 +247,13 @@ def parse_args(argv=None) -> argparse.Namespace:
         command, *rest = args.command
     handler, names, tol = commands[command]
     flags = {
-        "input": dict(help="input JSON file"),
+        "input": dict(required=True, help="input JSON file"),
         "output": dict(help="output JSON file (stdout if omitted)"),
         "tol": dict(type=_tol, default=tol),
         "rho": dict(type=int),
         "gamma": dict(type=float, default=RADIUS_RATIO),
         "delta": dict(type=float, default=MASS_DELTA),
-        "seed": dict(type=int),
+        "seed": dict(type=int, required=True),
         "d": dict(type=int, default=2),
     }
     # no prefix matching, so that "--d" cannot stand for "--delta"
@@ -271,9 +268,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.command != "gen" and args.input is None:
-        print("error: --input is required", file=sys.stderr)
-        return EXIT_MALFORMED
     try:
         # an overflow no check of its own catches exits 3, not inf or nan
         with np.errstate(over="raise", invalid="raise"):

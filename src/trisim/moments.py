@@ -82,6 +82,16 @@ def extend_matrix(m: TridiagonalSymmetric, n: int) -> TridiagonalSymmetric:
     return TridiagonalSymmetric(diag, offdiag)
 
 
+def moment_order(d: int, rho: int | None) -> int:
+    """The moment order for a class matrix of dimension d: ``rho``, which must
+    exceed 2d, or 2d + 1 when it is None."""
+    if rho is None:
+        return 2 * d + 1
+    if rho <= 2 * d:
+        raise InputError(f"rho must exceed 2d = {2 * d}")
+    return rho
+
+
 def spectral_moments(
     m: TridiagonalSymmetric, rho: int, trunc: int | None = None
 ) -> MomentSequence:
@@ -138,12 +148,9 @@ def spectral_moments(
 
 @dataclass
 class CircleSolution:
-    """Atoms on the circle |z| = radius with the gap moments s_0 at order 0,
-    zero at orders 1..order-1 and ``target`` at ``order``."""
+    """The circle of ``solve_gap_moments``: atoms on |z| = r with moments
+    s_0 at order 0, zero at orders 1..n-1 and c at order n."""
 
-    radius: float
-    order: int
-    target: complex
     measure: AtomicMeasure
 
 
@@ -222,10 +229,7 @@ def solve_gap_moments(
         )
     targets = np.zeros(n + 1, dtype=np.complex128)
     targets[n] = c
-    atoms, masses = _circle(s0, r, targets)
-    return CircleSolution(
-        radius=float(r), order=n, target=c, measure=AtomicMeasure(atoms, masses)
-    )
+    return CircleSolution(AtomicMeasure(*_circle(s0, r, targets)))
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .moments import (
     RadiusSchedule,
     algorithm1,
     extend_matrix,
+    moment_order,
     spectral_moments,
 )
 
@@ -215,11 +216,7 @@ def build_transform(
     ``verify_similarity``.
     """
     d = m.dim
-    if rho is None:
-        rho = 2 * d + 1
-    if rho <= 2 * d:
-        raise InputError(f"rho must exceed 2d = {2 * d}")
-    seq = spectral_moments(m, rho)
+    seq = spectral_moments(m, moment_order(d, rho))
     mu = algorithm1(seq, schedule)
     if mu.n_atoms <= 2 * d:
         raise ConsistencyError("measure has too few atoms to force T injective")

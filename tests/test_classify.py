@@ -245,6 +245,16 @@ class TestVerifyJSymmetric:
 
 
 class TestGramCondition:
+    @pytest.mark.parametrize(
+        "x0, j",
+        [(e0(3), ConjugationMap.standard(2)), (e0(2), ConjugationMap.standard(3))],
+        ids=["x0", "J"],
+    )
+    def test_dimension_mismatch(self, x0, j):
+        with pytest.raises(InputError) as exc:
+            gram_condition_check(CHAIN2, x0, j)
+        assert str(exc.value) == "dimension mismatch between A, x0 and J"
+
     def test_chain_passes(self):
         report = gram_condition_check(CHAIN2, e0(2), ConjugationMap.standard(2))
         assert report.passed

@@ -48,6 +48,8 @@ from trisim.similarity import (
 from test_classify import envelope_member
 
 COMMANDS = ["classify", "canonicalize", "moments", "solve", "similarity", "verify", "gen"]
+# the flags each command requires
+REQUIRED = {command: ["--input", "x.json"] for command in COMMANDS} | {"gen": ["--seed", "1"]}
 
 
 def write(tmp_path, name, obj):
@@ -922,7 +924,9 @@ class TestRoundTrip:
         assert np.array_equal(np.array(result["residuals"]), report.residuals)
 
     def test_missing_input_flag(self):
-        assert main(["classify"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["classify"])
+        assert exc.value.code == 2
 
     def test_internal_invariant_exits_4(self, monkeypatch, capsys):
         def broken(args):
@@ -932,6 +936,18 @@ class TestRoundTrip:
         assert main(["gen", "--seed", "1"]) == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "invariant broken" in err
+        assert "Traceback" not in err
+
+    def test_float64_overflow_exits_3(self, monkeypatch, capsys):
+        # an overflow that no check of the command catches reaches main's net
+        def overflowing(args):
+            return int(np.float64(1e308) * 10)
+
+        monkeypatch.setattr(cli, "cmd_gen", overflowing)
+        assert main(["gen", "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("precondition violated: float64 range exhausted (")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -1027,13 +1043,13 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {
-        "input": dict(help="input JSON file"),
+        "input": dict(required=True, help="input JSON file"),
         "output": dict(help="output JSON file (stdout if omitted)"),
         "tol": dict(type=_tol, default=DEFAULT_TOL),
         "rho": dict(type=int),
         "gamma": dict(type=float, default=RADIUS_RATIO),
         "delta": dict(type=float, default=MASS_DELTA),
-        "seed": dict(type=int),
+        "seed": dict(type=int, required=True),
         "d": dict(type=int, default=2),
     }
     # each command takes only the flags it reads
@@ -1063,7 +1079,8 @@ PARSED_ARGVS = [
     ["solve", "--input", "x.json", "--delta", "0.1"],
     ["gen", "--seed", "3", "--d", "5", "--output", "similarity"],
     ["moments", "--input", "x.json", "--rho", "4"],
-    *[[command] for command in COMMANDS],
+    # each command with its required flag alone, every other flag defaulted
+    *[[command, *REQUIRED[command]] for command in COMMANDS],
     ["classify", "--input", "x.json", "--output", "y.json", "--tol", "1e-3"],
     ["canonicalize", "--input", "x.json", "--tol", "0"],
     ["solve", "--input", "x.json", "--delta", "0.1", "--gamma", "3"],
@@ -1133,6 +1150,8 @@ EXITING_ARGVS = [
     ["moments", "--input", "x.json", "--rho", "1.5"],
     ["similarity", "--input"],
     ["gen", "--d"],
+    # each command without its required flag
+    *[[command] for command in COMMANDS],
 ]
 
 
@@ -1166,9 +1185,20 @@ class TestParser:
         args, code, (out, err) = assert_parity(argv, capsys)
         assert args is None and code in (0, 2) and (out if code == 0 else err)
 
+    @pytest.mark.parametrize("command", ["similarity", "gen"])
+    def test_missing_required_flag_is_a_usage_error(self, command):
+        flag = REQUIRED[command][0]
+        proc = run_fresh(command)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"usage: trisim {command} ")
+        assert proc.stderr.endswith(f"trisim {command}: error: the following arguments are required: {flag}\n")
+        assert "Traceback" not in proc.stderr
+        # the usage line shows the flag as required, without brackets
+        assert f" {flag} {flag[2:].upper()}" in proc.stderr and f"[{flag}" not in proc.stderr
+
     def test_handler_is_the_named_commands(self):
         for command in COMMANDS:
-            assert cli.parse_args([command]).handler is getattr(cli, f"cmd_{command}")
+            assert cli.parse_args([command, *REQUIRED[command]]).handler is getattr(cli, f"cmd_{command}")
 
     @staticmethod
     def built_parsers(monkeypatch):

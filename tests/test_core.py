@@ -12,6 +12,7 @@ from trisim.core import (
     InputError,
     PreconditionError,
     TridiagonalSymmetric,
+    as_complex_matrix,
     as_complex_vector,
     random_class_matrix,
 )
@@ -177,6 +178,24 @@ class TestPairings:
 
 
 class TestDomainTypes:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: as_complex_matrix(np.zeros((2, 3)), "A"), "A must be a square 2-d array, got shape (2, 3)"),
+            (lambda: as_complex_matrix(np.zeros(3), "A"), "A must be a square 2-d array, got shape (3,)"),
+            (lambda: as_complex_matrix([[1, np.inf], [0, 1]], "A"), "A contains non-finite entries"),
+            (lambda: as_complex_vector(np.zeros((2, 2)), "x0"), "x0 must be a 1-d array, got shape (2, 2)"),
+            (lambda: as_complex_vector([1, np.nan], "x0"), "x0 contains non-finite entries"),
+            (lambda: TridiagonalSymmetric([0, 0, 0], [1]), "offdiag must have length 2, got 1"),
+            (lambda: AtomicMeasure([0, 1], [1.0]), "atoms and masses must have equal length"),
+        ],
+        ids=["matrix-shape", "matrix-ndim", "matrix-inf", "vector-shape", "vector-nan", "offdiag", "measure"],
+    )
+    def test_malformed_arguments(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_measure_rejects_nonpositive_mass(self):
         # a non-finite mass is malformed input too, not a float64-range
         # precondition for verify_measure to find
@@ -414,6 +433,20 @@ class TestComplexJson:
             read(obj)
         assert str(exc.value).startswith(message) and "..." in str(exc.value)
         assert len(str(exc.value)) <= 80
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "tridiagonal", "diag": [[0, 0], [0, 0]]}, "tridiagonal operator missing field 'offdiag'"),
+            ({"kind": "dense", "rows": [[[0, 0], [1, 0]]]}, "dense operator rows must form a square matrix"),
+            ({"kind": "dense", "rows": [[[1, 0]]]}, "dimension must be at least 2"),
+        ],
+        ids=["missing-offdiag", "non-square", "1x1"],
+    )
+    def test_malformed_operator_documents(self, obj, message):
+        with pytest.raises(InputError) as exc:
+            io.operator_from_json(obj)
+        assert str(exc.value) == message
 
     def test_messages_echo_a_small_value_whole(self):
         with pytest.raises(InputError, match=r"^rho must be an integer, got 'three'$"):

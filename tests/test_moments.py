@@ -547,6 +547,24 @@ class TestVerifyMeasure:
             assert np.array_equal(verify_measure(mu, seq), want)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: spectral_moments(CHAIN2, 0), "rho must be at least 1"),
+        (lambda: spectral_moments(CHAIN2, 3, trunc=4), "truncation size must be at least rho + 2 = 5"),
+        (lambda: toeplitz_solvability(0.1, 1), "rho must be at least 2"),
+        (lambda: solve_gap_moments(0.0, 1, 2, 1.0), "s_0 must be strictly positive"),
+        (lambda: solve_gap_moments(1.0, 1, 1, 1.0), "gap order must be at least 2"),
+        (lambda: solve_gap_moments(1.0, 1, 2, 0.0), "radius must be positive"),
+    ],
+    ids=["rho-0", "trunc", "toeplitz-rho-1", "gap-s0", "gap-order", "gap-radius"],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestMomentSequence:
     def test_rejects_nonpositive_s0(self):
         with pytest.raises(InputError):

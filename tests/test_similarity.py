@@ -93,6 +93,12 @@ class TestBuildPolynomials:
         with pytest.raises(InputError, match="a_0"):
             build_polynomials(TridiagonalSymmetric([1, 2], [0]), 2)
 
+    @pytest.mark.parametrize("n_max", [-1, -5])
+    def test_rejects_a_negative_degree(self, n_max):
+        with pytest.raises(InputError) as exc:
+            build_polynomials(CHAIN2, n_max)
+        assert str(exc.value) == "n_max must be non-negative"
+
     def test_zero_division_names_the_first_vanishing_a_k(self):
         m = TridiagonalSymmetric(np.zeros(6), [1, 1, 0, 1, 0])
         with pytest.raises(InputError, match="a_2 = 0"):
