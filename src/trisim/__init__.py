@@ -32,7 +32,6 @@ from .moments import (
 from .similarity import (
     PolynomialFamily,
     SimilarityData,
-    build_polynomials,
     build_transform,
     check_invertible,
     poly_of_operator_vector,

@@ -54,7 +54,7 @@ from .classify import (
     verify_j_symmetric,
 )
 from .moments import MASS_DELTA, RADIUS_RATIO, RadiusSchedule, algorithm1
-from .moments import moment_order, spectral_moments, verify_measure
+from .moments import moment_order, require_normal_moments, spectral_moments, verify_measure
 from .similarity import ORTHONORMALITY_TOL, build_transform, verify_similarity
 
 EXIT_PASS = 0
@@ -150,6 +150,7 @@ def cmd_moments(args) -> int:
     _, op = _load_operator(args)
     tri = _require_class(op, DEFAULT_TOL)  # moments has no --tol
     seq = spectral_moments(tri, moment_order(tri.dim, args.rho))
+    require_normal_moments(tri, seq.rho)  # an underflowed s_k would print as 0
     io.dump_json(io.moments_to_json(seq), args.output)
     return EXIT_PASS
 

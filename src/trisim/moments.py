@@ -103,11 +103,11 @@ def spectral_moments(
     give s_{2j} = v_j^T v_j and s_{2j+1} = v_j^T v_{j+1}.  v_j lives on
     rows 0..j, so only rows 0..h of T are built and read: ``trunc`` is
     validated (at least rho + 2) and otherwise cannot change the result.
-    Only an exact zero a_k is refused, as in ``build_polynomials``; whether
-    a small a_k counts as zero is the caller's judgement, made by
-    ``is_class_matrix`` at the caller's tol.  Raises ``PreconditionError``
-    when the (h+1)-by-(h+1) table of the v_j cannot be allocated or some
-    s_k overflows float64.
+    Only an exact zero a_k is refused, here for ``build_transform``'s
+    recurrence too; whether a small a_k counts as zero is the caller's
+    judgement, made by ``is_class_matrix`` at the caller's tol.  Raises
+    ``PreconditionError`` when the (h+1)-by-(h+1) table of the v_j cannot
+    be allocated or some s_k overflows float64.
     """
     zero = (m.offdiag == 0).nonzero()[0]
     if len(zero):
@@ -144,6 +144,40 @@ def spectral_moments(
     s = s[: rho + 1]
     require_finite(s, lambda k: f"moment order {k}: s_{k} overflows")
     return MomentSequence(rho=rho, values=s)
+
+
+def require_normal_moments(m: TridiagonalSymmetric, rho: int) -> None:
+    """Raise ``PreconditionError`` naming the first order k <= rho whose
+    largest entering magnitude, (|T|^k)_00 for the extended matrix T with
+    absolute bands, is nonzero but below the normal float64 range, so that
+    s_k has underflowed whatever its value.  A zero (|T|^k)_00 is a
+    structural zero of s_k, such as an odd order of a zero-diagonal member.
+
+    As in ``spectral_moments``, (|T|^{i+j})_00 = u_i . u_j with
+    u_j = |T|^j e_0.  Each u_j is carried divided by a power of two,
+    2^e_j, that brings its largest entry into [1/2, 1), so the scales are
+    resolved far below float64 where a plain |T| Krylov would read 0.
+    """
+    h = (rho + 1) // 2
+    ext = extend_matrix(m, max(h + 1, m.dim))
+    diag, offdiag = np.abs(ext.diag[: h + 1]), np.abs(ext.offdiag[:h])
+    cur, e_cur = np.zeros(h + 1), 0
+    cur[0] = 1.0
+    for j in range(h):
+        nxt = diag * cur
+        nxt[:-1] += offdiag * cur[1:]
+        nxt[1:] += offdiag * cur[:-1]
+        e_nxt = e_cur + math.frexp(nxt.max())[1]
+        nxt = np.ldexp(nxt, e_cur - e_nxt)
+        for k, dot, e in ((2 * j + 1, cur @ nxt, e_cur + e_nxt), (2 * j + 2, nxt @ nxt, 2 * e_nxt)):
+            # 2^-1022 is the smallest normal float64
+            if k <= rho and dot > 0 and math.log2(dot) + e < -1022:
+                raise PreconditionError(
+                    f"moment order {k}: s_{k} underflows: the largest magnitude entering it, "
+                    f"(|T|^{k})_00, is about 1e{(math.log2(dot) + e) * math.log10(2):.0f}, "
+                    "below the normal float64 range"
+                )
+        cur, e_cur = nxt, e_nxt
 
 
 @dataclass
@@ -194,9 +228,7 @@ def _circle(s0: float, r: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     k + n <= 2 rho < N: it is s0 r^k ct_k = c_k.  Masses are positive
     whenever sum |ct_n| < 1/2.
     """
-    n = c.nonzero()[0]
-    ct = np.zeros(len(c), dtype=np.complex128)
-    ct[n] = (c[n] / s0) / r**n
+    ct = (c / s0) / r ** np.arange(len(c))
     big_n = 2 * len(ct) - 1
     atoms = r * np.exp(2j * np.pi * np.arange(big_n) / big_n)
     # Re sum_n ct_n w^(-jn) = Re sum_n conj(ct_n) w^(jn)
@@ -210,13 +242,16 @@ def solve_gap_moments(
     s0: float, c: complex, n: int, r: float, delta: float = MASS_DELTA
 ) -> CircleSolution:
     """Circle of 2n+1 atoms on |z| = r with moments (s0, 0, ..., 0, c) through
-    order n: the single-frequency case of ``_circle``, ct = (c/s0)/r^n."""
+    order n: the single-frequency case of ``_circle``, ct = (c/s0)/r^n.
+    Raises ``PreconditionError``, as ``algorithm1`` does, when s0 r^n would
+    overflow float64 or r^n fall below its normal range."""
     if s0 <= 0:
         raise InputError("s_0 must be strictly positive")
     if n < 2:
         raise InputError("gap order must be at least 2")
     if r <= 0:
         raise InputError("radius must be positive")
+    _check_scale(s0, math.log10(r), n)
     c = complex(c)
     ct = abs(c / s0) / np.float64(r) ** n  # numpy's power overflows to inf
     # delta = 0 admits the boundary |c~| = 1/2 (masses can still all be

@@ -54,43 +54,27 @@ _GRAM_CUT = 1e-5
 @dataclass
 class PolynomialFamily:
     """The recurrence p_0 = 1, p_{n+1} = ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n
-    up to degree n_max: the bands of ``ext`` (at least n_max + 1 rows) are
-    the family, and the family is held in no other form."""
+    up to degree ext.dim - 1: the bands of ``ext`` are the family, and the
+    family is held in no other form."""
 
     ext: TridiagonalSymmetric = field(repr=False)
-    n_max: int
 
 
-def build_polynomials(m: TridiagonalSymmetric, n_max: int) -> PolynomialFamily:
-    """The recurrence polynomials up to degree n_max, read off the extended matrix,
-    or off ``m`` when it has n_max + 1 rows; only an exact zero a_k is refused."""
-    if n_max < 0:
-        raise InputError("n_max must be non-negative")
-    ext = m if m.dim > n_max else extend_matrix(m, n_max + 1)
-    zero = (ext.offdiag[:n_max] == 0).nonzero()[0]
-    if len(zero):
-        raise InputError(f"cannot divide by a_{zero[0]} = 0 in the recurrence")
-    return PolynomialFamily(ext, n_max)
+def eval_recurrence(ext: TridiagonalSymmetric, z: np.ndarray) -> np.ndarray:
+    """Values p_n(z_j) for n = 0..ext.dim - 1 by the three-term recurrence.
 
-
-def eval_recurrence(ext: TridiagonalSymmetric, n_max: int, z: np.ndarray) -> np.ndarray:
-    """Values p_n(z_j) for n = 0..n_max by the three-term recurrence.
-
-    ``ext`` has at least n_max + 1 rows; an overflow stays inf for ``require_finite``.
+    An overflow stays inf for ``require_finite``.
     """
     z = np.asarray(z, dtype=np.complex128)
-    if not 0 <= n_max < ext.dim:
-        raise InputError(f"n_max must lie in 0..{ext.dim - 1}, the degrees the extension holds")
-    vals = np.empty((n_max + 1, len(z)), dtype=np.complex128)
+    vals = np.empty((ext.dim, len(z)), dtype=np.complex128)
     vals[0] = 1.0
     # row n + 1 starts as z - b_n and is finished in place, in the order of
     # ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n, so no degree allocates
-    np.subtract(z, ext.diag[:n_max, None], out=vals[1:])
+    np.subtract(z, ext.diag[:-1, None], out=vals[1:])
     scratch = np.empty_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        if n_max >= 1:
-            vals[1] /= ext.offdiag[0]
-        for n in range(1, n_max):
+        vals[1] /= ext.offdiag[0]
+        for n in range(1, ext.dim - 1):
             row = vals[n + 1]
             row *= vals[n]
             row -= np.multiply(ext.offdiag[n - 1], vals[n - 1], out=scratch)
@@ -109,7 +93,7 @@ def poly_of_operator_vector(
     bug.
     """
     d = m.dim
-    top = min(d - 1, family.n_max)
+    top = min(d, family.ext.dim) - 1
     if not 0 <= k <= top:
         raise InputError(f"k must lie in 0..{top}")
     a, ext = m.dense(), family.ext
@@ -223,10 +207,10 @@ def build_transform(
     ext = extend_matrix(m, d + 1)
     return SimilarityData(
         measure=mu,
-        polys=PolynomialFamily(ext, d),  # spectral_moments refused an exact zero a_k
+        polys=PolynomialFamily(ext),  # spectral_moments refused an exact zero a_k
         dim=d,
         rank_one_scale=complex(ext.offdiag[d - 1]),
-        poly_at_atoms=eval_recurrence(ext, d, mu.atoms),
+        poly_at_atoms=eval_recurrence(ext, mu.atoms),
     )
 
 

@@ -470,6 +470,23 @@ class TestMomentsCommand:
     def test_rho_must_exceed_2d(self, tmp_path):
         assert main(["moments", "--input", chain_file(tmp_path), "--rho", "4"]) == 2
 
+    @pytest.mark.parametrize(
+        "m, zeros",
+        [
+            # the odd moments of a zero-diagonal member vanish by structure
+            pytest.param(TridiagonalSymmetric(np.zeros(4), [1, 0.5, 2]), [1, 3, 5, 7, 9], id="zero-diagonal"),
+            # s_2 = b_0^2 + a_0^2 and s_3 cancel to 0 at normal scale
+            pytest.param(TridiagonalSymmetric([1j, -1j], [1]), [2, 3], id="cancelling"),
+        ],
+    )
+    def test_a_zero_moment_at_normal_scale_is_printed(self, tmp_path, capsys, m, zeros):
+        # an exact 0 is an underflow only when its largest entering
+        # magnitude is nonzero and below the normal float64 range
+        assert main(["moments", "--input", write(tmp_path, "op.json", io.operator_to_json(m))]) == 0
+        out, err = capsys.readouterr()
+        s = io.moments_from_json(json.loads(out)).values
+        assert err == "" and np.all(s[zeros] == 0) and s[4] != 0
+
     @pytest.mark.parametrize("command", ["moments", "similarity"])
     def test_overflowing_moments_exit_3(self, tmp_path, command):
         # well-formed input whose s_2 = 2e320 overflows float64
@@ -646,16 +663,26 @@ class TestSimilarityCommand:
         ],
     )
     def test_scaled_member(self, tmp_path, capsys, scale, code, message):
-        # c A is a class matrix whenever A is: classify and moments pass it at
-        # every scale, and similarity verifies it down to 1e-20; deeper, it
-        # exits 3 with one stderr line naming the scale or degree float64 lost
+        # c A is a class matrix whenever A is: classify passes it at every
+        # scale, and moments and similarity pass it down to 1e-20; deeper,
+        # each exits 3 with one stderr line naming the order, scale or degree
+        # float64 lost.  s_k = c^k s_k(A) leaves the normal range at the
+        # first order whose largest entering magnitude does
+        underflow = {1e-50: 7, 1e-100: 4, 1e-300: 2, 1e-310: 1}.get(scale)
         m = random_class_matrix(3, 8)
         op = io.operator_to_json(TridiagonalSymmetric(scale * m.diag, scale * m.offdiag))
         inp = write(tmp_path, "op.json", op)
         assert main(["classify", "--input", inp]) == 0
         assert json.loads(capsys.readouterr().out)["class_matrix"] is True
-        assert main(["moments", "--input", inp]) == 0
-        capsys.readouterr()
+        assert main(["moments", "--input", inp]) == (0 if underflow is None else 3)
+        out, err = capsys.readouterr()
+        if underflow is None:
+            assert err == "" and io.moments_from_json(json.loads(out)).rho == 17
+        else:
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith(f"precondition violated: moment order {underflow}: s_{underflow} "
+                                  "underflows: the largest magnitude entering it, ")
+            assert err.endswith(", below the normal float64 range\n")
         assert main(["similarity", "--input", inp]) == code
         out, err = capsys.readouterr()
         if code == 0:
@@ -920,7 +947,7 @@ class TestRoundTrip:
         assert np.array_equal(ext.diag[:d], tri.diag)
         assert np.array_equal(ext.offdiag[: d - 1], tri.offdiag)
         assert ext.offdiag[d - 1] == 1
-        assert np.array_equal(eval_recurrence(ext, d, mu.atoms), data.poly_at_atoms)
+        assert np.array_equal(eval_recurrence(ext, mu.atoms), data.poly_at_atoms)
         assert np.array_equal(np.array(result["residuals"]), report.residuals)
 
     def test_missing_input_flag(self):

@@ -131,8 +131,18 @@ class TestSpectralMoments:
             spectral_moments(big, 9)
 
     def test_rejects_non_class_matrix(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="a_0"):
             spectral_moments(TridiagonalSymmetric([1, 2], [0]), 3)
+
+    def test_zero_division_names_the_first_vanishing_a_k(self):
+        # the one exact-zero rule for the bands, which build_transform's
+        # recurrence relies on
+        m = TridiagonalSymmetric(np.zeros(6), [1, 1, 0, 1, 0])
+        with pytest.raises(InputError, match="a_2 = 0"):
+            spectral_moments(m, 13)
+        # only an exact zero is refused: a small a_k is as valid as c a_k
+        for small in (1e-15, 1e-300):
+            spectral_moments(TridiagonalSymmetric(np.zeros(6), [1, 1, small, 1, 1]), 13)
 
     def test_only_an_exact_zero_a_k_is_refused(self):
         # the tol-based class test is the caller's: a library caller may pass
@@ -212,6 +222,18 @@ class TestSolveGapMoments:
     def test_atoms_on_circle(self):
         sol = solve_gap_moments(0.7, 3 + 1j, 4, 3.0)
         assert np.max(np.abs(np.abs(sol.measure.atoms) - 3.0)) < 1e-12 * 3.0
+
+    @pytest.mark.parametrize(
+        "c, r, scale",
+        [(1.0, 1e200, "1e400 (circle radius 1e+200, order 2)"), (0.0, 1e-200, "1e-400 (circle radius 1e-200, order 2)")],
+    )
+    def test_rejects_a_radius_past_float64(self, c, r, scale):
+        # r^n must stay finite and normal, as it does in algorithm1: past
+        # 1e308 the target would round to ct = 0, and below 1e-307 the
+        # circle's targets would divide 0 by 0
+        with pytest.raises(PreconditionError) as exc:
+            solve_gap_moments(1.0, c, 2, r)
+        assert str(exc.value) == f"precision exhausted at scale {scale}"
 
     def test_rejects_oversized_target(self):
         with pytest.raises(InputError, match="radius"):

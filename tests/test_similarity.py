@@ -15,9 +15,9 @@ from trisim.core import (
 from trisim.moments import extend_matrix, spectral_moments, verify_measure
 from trisim.similarity import (
     INVERTIBILITY_FLOOR,
+    PolynomialFamily,
     SimilarityData,
     SimilarityReport,
-    build_polynomials,
     build_transform,
     check_invertible,
     eval_recurrence,
@@ -27,6 +27,8 @@ from trisim.similarity import (
 )
 
 CHAIN2 = TridiagonalSymmetric([0, 0], [1])
+# the chain's family up to degree 2: p_0 = 1, p_1 = z, p_2 = z^2 - 1
+CHAIN2_FAMILY = PolynomialFamily(extend_matrix(CHAIN2, 3))
 
 
 @pytest.fixture(scope="module")
@@ -35,20 +37,22 @@ def chain_data():
 
 
 class TestBuildPolynomials:
+    """The family p_0, p_1, ... that ``eval_recurrence`` reads off a
+    matrix's bands, one degree per row."""
+
     def test_chain_first_three(self):
-        fam = build_polynomials(CHAIN2, 2)
         z = np.array([0, 1, -2, 0.5 + 1.5j, -3j])
-        vals = eval_recurrence(fam.ext, 2, z)
+        vals = eval_recurrence(CHAIN2_FAMILY.ext, z)
+        assert vals.shape == (3, len(z))
         assert np.array_equal(vals[0], np.ones(len(z)))
         assert np.array_equal(vals[1], z)  # p_1 = z
         assert np.array_equal(vals[2], z * z - 1)  # p_2 = z^2 - 1
 
     def test_p1_closed_form(self):
         m = TridiagonalSymmetric([2 + 1j, 0], [3j])
-        fam = build_polynomials(m, 1)
         z = np.array([0, 1, -2, 0.5 + 1.5j, 2 + 1j])
         # p_1 = (z - b_0)/a_0
-        assert np.allclose(eval_recurrence(fam.ext, 1, z)[1], (z - (2 + 1j)) / 3j, rtol=1e-14)
+        assert np.allclose(eval_recurrence(m, z)[1], (z - (2 + 1j)) / 3j, rtol=1e-14)
 
     def test_leading_coefficient_law(self):
         # p_n has degree at most d, so the (d+1)-point DFT of its values on
@@ -56,9 +60,8 @@ class TestBuildPolynomials:
         for seed in range(10):
             d = 2 + seed % 4
             m = random_class_matrix(600 + seed, d)
-            fam = build_polynomials(m, d)
             ext = extend_matrix(m, d + 1)
-            vals = eval_recurrence(fam.ext, d, np.exp(2j * np.pi * np.arange(d + 1) / (d + 1)))
+            vals = eval_recurrence(ext, np.exp(2j * np.pi * np.arange(d + 1) / (d + 1)))
             coeffs = np.fft.fft(vals, axis=1) / (d + 1)
             lead = 1.0 + 0j
             for n in range(1, d + 1):
@@ -70,7 +73,8 @@ class TestBuildPolynomials:
     @pytest.mark.parametrize("d", [2, 3, 8, 48])
     def test_recurrence_is_the_per_degree_expression_bit_for_bit(self, d):
         # the in-place recurrence performs the reference's operations in
-        # its order, so every value must agree exactly
+        # its order, so every value must agree exactly; bands cut to n + 1
+        # rows give the family up to degree n
         def reference(ext, n_max, z):
             vals = np.empty((n_max + 1, len(z)), dtype=np.complex128)
             vals[0] = 1.0
@@ -86,32 +90,21 @@ class TestBuildPolynomials:
             m = random_class_matrix(seed, d)
             z = build_transform(m).measure.atoms
             ext = extend_matrix(m, d + 1)
-            for n_max in (0, 1, d):
-                assert np.array_equal(eval_recurrence(ext, n_max, z), reference(ext, n_max, z))
+            for n in dict.fromkeys((1, 2, d)):
+                cut = TridiagonalSymmetric(ext.diag[: n + 1], ext.offdiag[:n])
+                assert np.array_equal(eval_recurrence(cut, z), reference(ext, n, z))
 
     def test_rejects_zero_division(self):
-        with pytest.raises(InputError, match="a_0"):
-            build_polynomials(TridiagonalSymmetric([1, 2], [0]), 2)
-
-    @pytest.mark.parametrize("n_max", [-1, -5])
-    def test_rejects_a_negative_degree(self, n_max):
-        with pytest.raises(InputError) as exc:
-            build_polynomials(CHAIN2, n_max)
-        assert str(exc.value) == "n_max must be non-negative"
-
-    def test_zero_division_names_the_first_vanishing_a_k(self):
-        m = TridiagonalSymmetric(np.zeros(6), [1, 1, 0, 1, 0])
-        with pytest.raises(InputError, match="a_2 = 0"):
-            build_polynomials(m, 5)
-        build_polynomials(m, 2)  # divides by a_0 and a_1 only
-        # only an exact zero is refused: a small a_k is as valid as c a_k
-        for small in (1e-15, 1e-300):
-            build_polynomials(TridiagonalSymmetric(np.zeros(6), [1, 1, small, 1, 1]), 5)
+        # a family is built only by build_transform, which refuses an exact
+        # zero a_k, naming it, before the recurrence would divide by it
+        with pytest.raises(InputError, match="a_0 = 0"):
+            build_transform(TridiagonalSymmetric([1, 2], [0]))
 
 
 class TestDegreeRange:
-    """n_max must name a degree the values or the extension hold; a number
-    outside 0..rows - 1 is an input error that names the allowed range."""
+    """The family's degrees are the extension's rows; orthonormality_residuals'
+    n_max must name a degree the values hold, and a number outside
+    0..rows - 1 is an input error that names the allowed range."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -125,34 +118,23 @@ class TestDegreeRange:
         with pytest.raises(InputError, match=r"n_max must lie in 0\.\.4"):
             orthonormality_residuals(data.poly_at_atoms, data.measure, -1)
 
-    @pytest.mark.parametrize("n_max", [-1, -2])
-    def test_recurrence_rejects_a_negative_degree(self, data, n_max):
-        with pytest.raises(InputError, match=r"n_max must lie in 0\.\.4"):
-            eval_recurrence(data.polys.ext, n_max, data.measure.atoms)
-
-    def test_recurrence_rejects_a_degree_past_the_extension(self, data):
-        with pytest.raises(InputError, match=r"n_max must lie in 0\.\.4"):
-            eval_recurrence(data.polys.ext, 5, data.measure.atoms)
-
     def test_top_degree_is_accepted(self, data):
-        assert eval_recurrence(data.polys.ext, 4, data.measure.atoms).shape == (5, data.measure.n_atoms)
+        assert eval_recurrence(data.polys.ext, data.measure.atoms).shape == (5, data.measure.n_atoms)
         assert orthonormality_residuals(data.poly_at_atoms, data.measure, 4).shape == (5, 5)
 
 
 class TestPolyOfOperatorVector:
     def test_k0_identity(self):
-        fam = build_polynomials(CHAIN2, 2)
-        assert np.array_equal(poly_of_operator_vector(CHAIN2, fam, 0), [1, 0])
+        assert np.array_equal(poly_of_operator_vector(CHAIN2, CHAIN2_FAMILY, 0), [1, 0])
 
     def test_chain_k1(self):
-        fam = build_polynomials(CHAIN2, 2)
-        assert np.allclose(poly_of_operator_vector(CHAIN2, fam, 1), [0, 1])
+        assert np.allclose(poly_of_operator_vector(CHAIN2, CHAIN2_FAMILY, 1), [0, 1])
 
     def test_basis_identity_random(self):
         for seed in range(10):
             d = 5
             m = random_class_matrix(500 + seed, d)
-            fam = build_polynomials(m, d)
+            fam = PolynomialFamily(m)
             for k in range(d):
                 e = np.zeros(d, dtype=complex)
                 e[k] = 1
@@ -160,14 +142,15 @@ class TestPolyOfOperatorVector:
                 assert np.linalg.norm(got - e) < 1e-9
 
     def test_rejects_out_of_range(self):
-        fam = build_polynomials(CHAIN2, 2)
         with pytest.raises(InputError):
-            poly_of_operator_vector(CHAIN2, fam, 2)
+            poly_of_operator_vector(CHAIN2, CHAIN2_FAMILY, 2)
 
     def test_rejects_degree_past_the_family(self):
+        # a family of three rows, the leading bands of m, holds degrees 0..2
         m = random_class_matrix(1, 6)
+        fam = PolynomialFamily(TridiagonalSymmetric(m.diag[:3], m.offdiag[:2]))
         with pytest.raises(InputError, match=r"k must lie in 0\.\.2"):
-            poly_of_operator_vector(m, build_polynomials(m, 2), 4)
+            poly_of_operator_vector(m, fam, 4)
 
     @pytest.mark.parametrize("band", ["diag", "offdiag"])
     def test_detects_a_family_of_another_matrix(self, band):
@@ -177,7 +160,7 @@ class TestPolyOfOperatorVector:
         m, r, delta = random_class_matrix(1, 6), 2, 1e-6
         bands = {"diag": m.diag.copy(), "offdiag": m.offdiag.copy()}
         bands[band][r] += delta
-        fam = build_polynomials(TridiagonalSymmetric(bands["diag"], bands["offdiag"]), 6)
+        fam = PolynomialFamily(TridiagonalSymmetric(bands["diag"], bands["offdiag"]))
         err = np.array([np.linalg.norm(poly_of_operator_vector(m, fam, k) - np.eye(6)[k]) for k in range(6)])
         assert np.all(err[: r + 1] < 1e-15)
         assert err[r + 1] == pytest.approx(delta / abs(m.offdiag[r]), rel=1e-6)
