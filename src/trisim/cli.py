@@ -38,7 +38,6 @@ import numpy as np
 from . import io
 from .core import (
     DEFAULT_TOL,
-    ConjugationMap,
     ConsistencyError,
     InputError,
     PreconditionError,
@@ -75,9 +74,9 @@ def _schedule(args) -> RadiusSchedule:
     return RadiusSchedule(gamma=args.gamma, delta=args.delta)
 
 
-def _load_operator(args) -> tuple[dict, object]:
-    obj = io.load_json(args.input)
-    return obj, io.operator_from_json(obj)
+def _load_operator(args) -> tuple:
+    """(A, J, x0) of the operator document ``--input`` names."""
+    return io.operator_document(io.load_json(args.input))
 
 
 def _require_class(op, tol: float) -> TridiagonalSymmetric:
@@ -94,14 +93,12 @@ def _residual_report(residuals: np.ndarray, output: str | None, tol: float) -> i
 
 
 def cmd_classify(args) -> int:
-    obj, op = _load_operator(args)
+    op, conj, x0 = _load_operator(args)
     ok, tri, reason = is_class_matrix(op, args.tol)
     report: dict = {"class_matrix": ok, "reason": reason}
     if tri is not None:
         report["extracted"] = io.operator_to_json(tri)
 
-    conj = io.conjugation_from_json(obj)
-    x0 = io.vector_from_json(obj, "x0")
     passed = ok
     if conj is not None:
         a = as_complex_matrix(op, "A")
@@ -118,23 +115,18 @@ def cmd_classify(args) -> int:
         j_ok = res <= args.tol
         report["j_symmetric"] = j_ok
         report["j_symmetry_residual"] = res
-        # with (J, x0) supplied the verdict is the two-sided criterion,
-        # not the basis-dependent tridiagonal test
+        # with x0 given, and J from C or C = I, the verdict is the
+        # two-sided criterion, not the basis-dependent tridiagonal test
         passed = j_ok and (ok if x0 is None else gr.passed)
     io.dump_json(report, args.output)
     return EXIT_PASS if passed else EXIT_VERIFICATION
 
 
 def cmd_canonicalize(args) -> int:
-    obj, op = _load_operator(args)
-    a = as_complex_matrix(op, "A")
-    conj = io.conjugation_from_json(obj)
-    if conj is None:
-        conj = ConjugationMap.standard(a.shape[0])
-    x0 = io.vector_from_json(obj, "x0")
+    op, conj, x0 = _load_operator(args)
     if x0 is None:
         raise InputError("canonicalize needs an 'x0' vector in the input file")
-    form = canonicalize(a, x0, conj, args.tol)
+    form = canonicalize(op, x0, conj, args.tol)
     io.dump_json(
         {
             "basis": io.cvector_to_json(form.basis),
@@ -147,7 +139,7 @@ def cmd_canonicalize(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    _, op = _load_operator(args)
+    op, _, _ = _load_operator(args)  # J and x0 are read, so a malformed one exits 2, and unused
     tri = _require_class(op, DEFAULT_TOL)  # moments has no --tol
     seq = spectral_moments(tri, moment_order(tri.dim, args.rho))
     require_normal_moments(tri, seq.rho)  # an underflowed s_k would print as 0
@@ -166,7 +158,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_similarity(args) -> int:
-    _, op = _load_operator(args)
+    op, _, _ = _load_operator(args)  # J and x0 are read, so a malformed one exits 2, and unused
     tri = _require_class(op, args.tol)
     data = build_transform(tri, rho=args.rho, schedule=_schedule(args))
     report = verify_similarity(tri, data, args.tol)

@@ -34,13 +34,19 @@ def complex_array(v, ndim: int, what: str) -> np.ndarray:
     """The complex array held by the JSON value ``v``: ``ndim`` levels of
     non-empty lists around [re, im] pairs (ndim 0 is one pair).
 
-    One ``np.array`` call converts the whole value, each number as
-    ``float`` would.  Any other shape, a number float64 cannot hold and a
-    non-finite entry (numpy reads JSON null as nan) raise ``InputError``."""
+    Every leaf must be a JSON number: a string is refused, and so is a
+    value whose every leaf is a boolean, though numpy reads a boolean among
+    other numbers as 0 or 1.  Any other shape, a number float64 cannot
+    hold and a non-finite entry raise ``InputError``."""
     try:
-        a = np.array(v, dtype=np.float64)
+        a = np.array(v)
+        # numpy holds an integer past 64 bits, or null, among numbers as objects
+        numbers = a.dtype.kind in "iuf" or (
+            a.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in a.flat)
+        )
+        a = a.astype(np.float64, copy=False)
         # a list can only come out empty at the innermost axis, which must be 2
-        ok = a.ndim == ndim + 1 and a.shape[-1] == 2 and np.isfinite(a).all()
+        ok = numbers and a.ndim == ndim + 1 and a.shape[-1] == 2 and np.isfinite(a).all()
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -92,16 +98,19 @@ def operator_from_json(obj: dict) -> TridiagonalSymmetric | np.ndarray:
     raise InputError(f"unknown operator kind {reprlib.repr(kind)}")
 
 
-def conjugation_from_json(obj: dict) -> ConjugationMap | None:
-    if "C" not in obj:
-        return None
-    return ConjugationMap(complex_array(obj["C"], 2, "C"))
-
-
-def vector_from_json(obj: dict, key: str) -> np.ndarray | None:
-    if key not in obj:
-        return None
-    return complex_array(obj[key], 1, key)
+def operator_document(
+    obj: dict,
+) -> tuple[TridiagonalSymmetric | np.ndarray, ConjugationMap | None, np.ndarray | None]:
+    """(A, J, x0) of an operator document: A as ``operator_from_json`` reads
+    it, J x = C conj(x) from its "C" and x0 from its "x0", each None when
+    absent.  The membership criterion needs a J that fixes x0, so a
+    document with x0 and no C takes C = I."""
+    a = operator_from_json(obj)
+    j = ConjugationMap(complex_array(obj["C"], 2, "C")) if "C" in obj else None
+    x0 = complex_array(obj["x0"], 1, "x0") if "x0" in obj else None
+    if j is None and x0 is not None:
+        j = ConjugationMap.standard(len(x0))
+    return a, j, x0
 
 
 def measure_to_json(mu: AtomicMeasure) -> dict:
@@ -118,9 +127,11 @@ def measure_from_json(obj: dict) -> AtomicMeasure:
         raise InputError("measure object must carry an 'atoms' list")
     try:
         z = [entry["z"] for entry in obj["atoms"]]
-        # a mass reads as the pair [mass, 0]; its real parts are copied out
-        # contiguous, as the masses of every other measure are
-        mass = [[entry["mass"], 0] for entry in obj["atoms"]]
+        # a mass reads as the pair [mass, 0], padded with False so that a
+        # boolean mass makes a pair of booleans, which complex_array refuses;
+        # its real parts are copied out contiguous, as the masses of every
+        # other measure are
+        mass = [[entry["mass"], False] for entry in obj["atoms"]]
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed atom entry: {e}") from None
     masses = complex_array(mass, 1, "atom masses, each read as [mass, 0],").real.copy()

@@ -265,7 +265,7 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "fields, code",
-        [((), 1), (("C",), 1), (("C", "x0"), 0), (("x0",), 1)],
+        [((), 1), (("C",), 1), (("C", "x0"), 0), (("x0",), 3)],
     )
     def test_verdict_of_each_input_shape(self, tmp_path, capsys, fields, code):
         # a unitarily disguised member: not tridiagonal, but J-symmetric for
@@ -276,8 +276,17 @@ class TestClassify:
         disguised = io.dense_to_json(q @ m @ q.conj().T)
         extra = {"C": io.dense_to_json(q @ q.T)["rows"], "x0": cvector_to_json(q[:, 0])}
         op = {**disguised, **{f: extra[f] for f in fields}}
-        assert main(["classify", "--input", write(tmp_path, "op.json", op)]) == code
-        report = strict_json(capsys.readouterr().out)
+        p = write(tmp_path, "op.json", op)
+        assert main(["classify", "--input", p]) == code
+        out, err = capsys.readouterr()
+        if code == 3:
+            # x0 without C takes C = I, which does not fix q e0: the
+            # precondition canonicalize names on the same document
+            assert out == "" and "J x0 != x0" in err
+            assert main(["canonicalize", "--input", p]) == 3
+            assert capsys.readouterr().err == err
+            return
+        report = strict_json(out)
         assert report["class_matrix"] is False
         assert report.get("j_symmetric", True) is True
         assert report.get("gram_condition", True) is True
@@ -353,13 +362,122 @@ class TestClassify:
         # an infinite mass, stopped by the reader and by AtomicMeasure
         inf_mass = {"measure": {"atoms": [{"z": [0, 0], "mass": float("inf")}]}, "moments": moments}
         assert main(["verify", "--input", write(tmp_path, "inf.json", inf_mass)]) == 2
-        # without C, x0 is parsed but reaches no type, so the reader is the only check that sees it
+        # a null in x0 is refused by the reader, before C = I and the Gram check see x0
         null_x0 = {**io.operator_to_json(random_class_matrix(7, 4)), "x0": [[None, 0]] + [[0, 0]] * 3}
         assert main(["classify", "--input", write(tmp_path, "x0.json", null_x0)]) == 2
         # nested deeper than json.load recurses
         deep = tmp_path / "deep.json"
         deep.write_text('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}")
         assert main(["classify", "--input", str(deep)]) == 2
+
+
+class TestOperatorDocument:
+    """One reader, ``io.operator_document``, gives every operator command
+    (A, J, x0); a document with x0 and no C takes C = I."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_x0_without_c_in_classify_and_canonicalize(self, tmp_path, capsys, seed, d):
+        # gen output with x0 and no C, so C = I: x0 = e_0 passes both
+        # commands; x0 = i e_0 fails the same precondition in both; x0 = e_1
+        # fails the Gram condition, a verdict of classify (exit 1) and a
+        # precondition of canonicalize (exit 3)
+        doc = io.operator_to_json(random_class_matrix(seed, d))
+        e = np.eye(d)
+        for x0, codes, message in [
+            (e[0], (0, 0), ""),
+            (1j * e[0], (3, 3), "precondition violated: J x0 != x0 (residual "),
+            (e[1], (1, 3), "precondition violated: Gram-determinant condition fails"),
+        ]:
+            p = write(tmp_path, "op.json", {**doc, "x0": cvector_to_json(x0)})
+            assert main(["classify", "--input", p]) == codes[0]
+            classified = capsys.readouterr()
+            assert main(["canonicalize", "--input", p]) == codes[1]
+            canonical = capsys.readouterr()
+            assert canonical.err.startswith(message) and canonical.err.count("\n") == (message != "")
+            if codes[0] == 0:
+                report = strict_json(classified.out)
+                assert report["gram_condition"] is True and report["j_symmetric"] is True
+                assert io.operator_from_json(strict_json(canonical.out)["matrix"]).dim == d
+            elif codes[0] == 3:
+                assert classified == canonical and canonical.out == ""
+            else:
+                assert strict_json(classified.out)["gram_condition"] is False
+
+    @pytest.mark.parametrize("command", ["moments", "similarity"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("C", [[[1, 0]], [[1, 0], [0, 0]]]), ("C", "I"), ("x0", [[None, 0]] * 4), ("x0", [[True, False]] * 4)],
+        ids=["C-ragged", "C-string", "x0-null", "x0-boolean"],
+    )
+    def test_malformed_c_or_x0_exits_2(self, tmp_path, capsys, command, field, value):
+        # moments and similarity do not use J or x0, but read them
+        op = {**io.operator_to_json(random_class_matrix(7, 4)), field: value}
+        assert main([command, "--input", write(tmp_path, "op.json", op)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {field} must be ")
+
+    @pytest.mark.parametrize("command", ["moments", "similarity"])
+    def test_parsed_c_and_x0_leave_the_output_unchanged(self, tmp_path, capsys, command):
+        # a C that is no conjugation and an x0 it does not fix are read and unused
+        doc = io.operator_to_json(random_class_matrix(7, 4))
+        extra = {"C": io.dense_to_json(2 * np.eye(4))["rows"], "x0": [[0, 1]] * 4}
+        outputs = []
+        for op in (doc, {**doc, **extra}):
+            assert main([command, "--input", write(tmp_path, "op.json", op)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+
+
+class TestJsonNumbers:
+    """Every reader takes JSON numbers only: a string, or a value of booleans
+    alone, exits 2 with the reader's message, as an unreadable number does."""
+
+    CHAIN = {"kind": "tridiagonal", "diag": [[0, 0], [0, 0]], "offdiag": [[1, 0]]}
+    DENSE = {"kind": "dense", "rows": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
+    MOMENTS = {"rho": 2, "s": [[1, 0], [0, 0], [1, 0]]}
+
+    @staticmethod
+    def measure(z, mass):
+        return {"measure": {"atoms": [{"z": z, "mass": mass}]}, "moments": TestJsonNumbers.MOMENTS}
+
+    @pytest.mark.parametrize("kind", ["string", "boolean"])
+    @pytest.mark.parametrize(
+        "command, what, document",
+        [
+            ("classify", "diag", lambda x: {**TestJsonNumbers.CHAIN, "diag": [x, x]}),
+            ("classify", "offdiag", lambda x: {**TestJsonNumbers.CHAIN, "offdiag": [x]}),
+            ("classify", "rows", lambda x: {**TestJsonNumbers.DENSE, "rows": [[x, x], [x, x]]}),
+            ("classify", "C", lambda x: {**TestJsonNumbers.DENSE, "C": [[x, x], [x, x]]}),
+            ("canonicalize", "x0", lambda x: {**TestJsonNumbers.DENSE, "x0": [x, x]}),
+            ("solve", "s", lambda x: {**TestJsonNumbers.MOMENTS, "s": [x, x, x]}),
+            ("verify", "atom locations", lambda x: TestJsonNumbers.measure(x, 1)),
+            ("verify", "atom masses", lambda x: TestJsonNumbers.measure([0, 0], x[0])),
+        ],
+        ids=["diag", "offdiag", "rows", "C", "x0", "s", "z", "mass"],
+    )
+    def test_reader_refuses_non_numbers(self, tmp_path, capsys, command, what, document, kind):
+        x = ["1", "0"] if kind == "string" else [True, False]
+        assert main([command, "--input", write(tmp_path, "in.json", document(x))]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {what}") and err.endswith("of finite float64 numbers\n")
+
+    def test_numeric_strings_and_booleans_in_one_operator(self, tmp_path, capsys):
+        # classify read this document as diag (0.5, 1) and offdiag (1), and passed it
+        op = {"kind": "tridiagonal", "diag": [["0.5", "0"], [True, False]], "offdiag": [["1", 0]]}
+        assert main(["classify", "--input", write(tmp_path, "op.json", op)]) == 2
+        assert capsys.readouterr().err == (
+            "error: diag must be a list of [re, im] pairs, non-empty and of finite float64 numbers\n"
+        )
+
+    def test_json_integers_are_numbers(self, tmp_path, capsys):
+        # integers, one past 64 bits among them, read as float would read them
+        op = {"kind": "tridiagonal", "diag": [[0, 0], [1, 0]], "offdiag": [[2**70, -3]]}
+        assert main(["classify", "--input", write(tmp_path, "op.json", op)]) == 0
+        extracted = io.operator_from_json(strict_json(capsys.readouterr().out)["extracted"])
+        assert extracted.diag.tolist() == [0, 1] and extracted.offdiag.tolist() == [2**70 - 3j]
 
 
 class TestSolve:

@@ -323,8 +323,8 @@ class TestComplexJson:
             ([1, -0.0], 0, complex(1, -0.0)),
             ([[1, 2], [3.5, -4]], 1, [1 + 2j, 3.5 - 4j]),
             ([[[1, 0], [0, 1]], [[0, -1], [2, 0]]], 2, [[1, 1j], [complex(0, -1), 2]]),
-            ([True, False], 0, 1),  # as float(True) and float(False)
-            (["1.5", " -2 "], 0, 1.5 - 2j),  # as float("1.5") and float(" -2 ")
+            ([1, 0], 0, 1),  # JSON integers
+            ([1.5, -2], 0, 1.5 - 2j),  # a float and an integer
             ([[10**300, 0]], 1, [1e300]),
         ],
     )
@@ -361,6 +361,13 @@ class TestComplexJson:
             ([{"re": 1}, 2], 0),
             (None, 1),
             (3, 0),
+            # a string or a value of booleans alone is not a JSON number
+            (["1.5", " -2 "], 0),
+            ([True, False], 0),
+            ([[True, False], [False, True]], 1),
+            ([[1, 0], ["2", 0]], 1),
+            ([[10**30, "0.5"]], 1),  # numpy holds an integer past 64 bits as an object
+            ([[10**30, None]], 1),
         ],
     )
     def test_rejects_everything_else(self, v, ndim):
@@ -373,13 +380,19 @@ class TestComplexJson:
         # Where the reference gives a non-empty finite array, the reader gives
         # the same bits (-0.0 included); everywhere else it raises InputError,
         # also where the reference raised OverflowError or returned an empty or
-        # non-finite array, both of which every consumer rejected with exit 2.
+        # non-finite array, both of which every consumer rejected with exit 2,
+        # and where v holds a string or only booleans, which the reference
+        # reads as float does but the reader refuses as no JSON number.
         v = data.draw(st.one_of(SHAPED[ndim], JSONLIKE))
         try:
             want = np.asarray(REFERENCE_READERS[ndim](v), dtype=np.complex128)
         except (InputError, OverflowError):
             want = None
-        if want is not None and want.size and np.isfinite(want).all():
+        scalars = leaves(v)
+        numbers = not any(isinstance(x, str) for x in scalars) and not all(
+            isinstance(x, bool) for x in scalars
+        )
+        if numbers and want is not None and want.size and np.isfinite(want).all():
             got = complex_array(v, ndim, "v")
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         else:
@@ -447,6 +460,21 @@ class TestComplexJson:
         with pytest.raises(InputError) as exc:
             io.operator_from_json(obj)
         assert str(exc.value) == message
+
+    def test_operator_document_reads_a_c_and_x0(self):
+        # J and x0 are None when absent, and x0 without C takes C = I
+        chain = {"kind": "tridiagonal", "diag": [[0, 0], [0, 0]], "offdiag": [[1, 0]]}
+        a, j, x0 = io.operator_document(chain)
+        assert isinstance(a, TridiagonalSymmetric) and j is None and x0 is None
+        a, j, x0 = io.operator_document({**chain, "x0": [[0, 0], [2, 0]]})
+        assert np.array_equal(j.matrix, np.eye(2)) and x0.tolist() == [0, 2]
+        swap = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+        a, j, x0 = io.operator_document({**chain, "C": swap, "x0": [[1, 0], [1, 0]]})
+        assert np.array_equal(j.matrix, [[0, 1], [1, 0]]) and x0.tolist() == [1, 1]
+        a, j, x0 = io.operator_document({**chain, "C": swap})
+        assert np.array_equal(j.matrix, [[0, 1], [1, 0]]) and x0 is None
+        with pytest.raises(InputError, match="^x0 must be a list of"):
+            io.operator_document({**chain, "x0": [["1", 0], [0, 0]]})
 
     def test_messages_echo_a_small_value_whole(self):
         with pytest.raises(InputError, match=r"^rho must be an integer, got 'three'$"):
